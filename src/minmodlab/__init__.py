@@ -26,13 +26,11 @@ from .exactnum import (
 )
 from .linops import (
     Dense,
-    Diagonal,
-    Identity,
     Operator,
     RankOne,
-    Scaled,
-    Sum,
     add,
+    diagonal,
+    identity,
     materialize,
     op_norm_sup,
     op_norm_witness,

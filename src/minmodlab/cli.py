@@ -55,7 +55,7 @@ from .harness import (
     rank_one_search,
     weak_null_test,
 )
-from .linops import Dense, Identity, Operator, RankOne, add, materialize
+from .linops import Dense, Operator, RankOne, add, diagonal, identity, materialize
 from .minmod import BudgetExceededError, brute_force_min, min_modulus_sup, perturbation_gain
 
 EXIT_OK = 0
@@ -164,7 +164,7 @@ def build_operator(spec: str, n: int) -> Operator:
     if spec == "paper-k":
         return deflation_repair(n)
     if spec == "identity":
-        return Identity(n)
+        return identity(n)
     if spec == "direct-sum":
         if n < 2:
             raise UsageError("direct-sum needs dimension >= 2")
@@ -177,9 +177,7 @@ def build_operator(spec: str, n: int) -> Operator:
             raise UsageError(f"bad diagonal entry: {exc}") from None
         if len(entries) != n:
             raise UsageError(f"diagonal spec has {len(entries)} entries, expected {n}")
-        return Dense(tuple(
-            tuple(entries[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-        ))
+        return diagonal(entries)
     path = Path(spec)
     if path.suffix or path.exists() or "/" in spec:
         dense = read_dense_operator(path)
@@ -225,7 +223,7 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
         else:
             functional = geometric_functional(n)
         e1 = basis_vector(1, n)
-        operator = add(Identity(n), RankOne(-Fraction(1) * e1, functional))
+        operator = add(identity(n), RankOne(-e1, functional))
         repair = RankOne(e1, functional)
 
         record(
@@ -248,17 +246,13 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
             format_rational(sup_norm(operator.apply(minimizing_vector(n)))),
         )
 
-        repaired = materialize(add(operator, repair))
+        repaired = add(operator, repair)
         record(
             f"perturbation-identity[{n}]",
             "identity",
-            "identity" if repaired.entries == Identity(n).rows() else "not-identity",
+            "identity" if repaired == identity(n) else "not-identity",
         )
-        record(
-            f"perturbed-min-modulus[{n}]",
-            "1",
-            format_rational(min_modulus_sup(add(operator, repair)).value),
-        )
+        record(f"perturbed-min-modulus[{n}]", "1", format_rational(min_modulus_sup(repaired).value))
 
     minimizers = [minimizing_vector(n) for n in range(2, n_max + 1)]
     verdict = weak_null_test(minimizers)
@@ -318,6 +312,7 @@ def _cmd_paper_check(args) -> int:
 
 
 def _cmd_minmod(args) -> int:
+    _check_dimension_budget(args.n)
     cfg = _config_from(args, command="minmod", n=args.n, operator_spec=args.spec)
     operator = build_operator(args.spec, args.n)
     result = min_modulus_sup(operator, check_mirror=args.mirror_check)
@@ -359,6 +354,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_dimension_budget(args.n)
     resolution = _parse_rational_arg(args.h, "h")
     cfg = _config_from(
         args,
@@ -388,6 +384,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    _check_dimension_budget(args.n)
     cfg = _config_from(args, command="perturb", n=args.n)
     family = c0_family(args.n)
     gain = perturbation_gain(family.operator, family.perturbation)
@@ -407,6 +404,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    _check_dimension_budget(args.n)
     budget = _parse_rational_arg(args.budget, "budget")
     cfg = _config_from(
         args,
@@ -421,6 +419,14 @@ def _cmd_search(args) -> int:
     )
     _emit(outcome, cfg)
     return EXIT_OK
+
+
+def _check_dimension_budget(n: int) -> None:
+    """Refuse a section above the LP dimension budget before anything is built."""
+    if n > DEFAULT_CONFIG.lp_dimension_budget:
+        raise BudgetExceededError(
+            f"dimension {n} exceeds the LP dimension budget {DEFAULT_CONFIG.lp_dimension_budget}"
+        )
 
 
 def _parse_rational_arg(text: str, name: str) -> Rational:

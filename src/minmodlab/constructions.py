@@ -28,7 +28,7 @@ from .exactnum import (
     dual_norm_l1,
     sup_norm,
 )
-from .linops import Identity, Operator, RankOne, Scaled, Sum, add, materialize
+from .linops import Dense, RankOne, add, identity
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,16 +57,22 @@ def shifted_geometric_functional(m: int) -> Covector:
     return Covector(tuple(Fraction(1, 2**j) for j in range(1, m + 1)))
 
 
-def deflation_operator(n: int) -> Operator:
-    """T: x -> x - f(x) e_1 with f the geometric functional.
+def _deflation(f: Covector) -> Dense:
+    """I - e_1 (x) f as a dense matrix on the section of f."""
+    n = len(f)
+    return add(identity(n), RankOne(-basis_vector(1, n), f))
 
-    Kept as a lazy Identity + Scaled(RankOne) tree so application stays
-    O(n) and the rank-one structure remains visible to consumers.
+
+def deflation_operator(n: int) -> Dense:
+    """T: x -> x - f(x) e_1 with f the geometric functional, as a dense matrix.
+
+    The rank-one factors of the deflated part are those of
+    :func:`deflation_repair`.
     """
-    return Sum((Identity(n), Scaled(-_ONE, RankOne(basis_vector(1, n), geometric_functional(n)))))
+    return _deflation(geometric_functional(n))
 
 
-def deflation_repair(n: int) -> Operator:
+def deflation_repair(n: int) -> RankOne:
     """K: x -> f(x) e_1 — the rank-one perturbation with T + K = I."""
     return RankOne(basis_vector(1, n), geometric_functional(n))
 
@@ -90,22 +96,24 @@ def closed_form_min_modulus(n: int) -> Rational:
     return _ONE / (2 - Fraction(1, 2 ** (n - 1)))
 
 
-def direct_sum_operator(f_y: Covector) -> Operator:
+def _lift(f_y: Covector) -> Covector:
+    """f_y read on the direct sum: the scalar slot is ignored."""
+    return Covector((_ZERO,) + f_y.coeffs)
+
+
+def direct_sum_operator(f_y: Covector) -> Dense:
     """T(a, y) = (a - f_y(y), y) on the scalar-slot direct sum.
 
     The section has dimension 1 + len(f_y); the functional is lifted to
     ignore the scalar slot.
     """
-    n = len(f_y) + 1
-    lifted = Covector((_ZERO,) + f_y.coeffs)
-    return Sum((Identity(n), Scaled(-_ONE, RankOne(basis_vector(1, n), lifted))))
+    return _deflation(_lift(f_y))
 
 
-def direct_sum_perturbation(f_y: Covector) -> Operator:
+def direct_sum_perturbation(f_y: Covector) -> RankOne:
     """K(a, y) = (f_y(y), 0): repairs the direct-sum deflation to I."""
-    n = len(f_y) + 1
-    lifted = Covector((_ZERO,) + f_y.coeffs)
-    return RankOne(basis_vector(1, n), lifted)
+    lifted = _lift(f_y)
+    return RankOne(basis_vector(1, len(lifted)), lifted)
 
 
 def direct_sum_minimizer(y: Vector) -> Vector:
@@ -125,15 +133,15 @@ class CounterexampleFamily:
     """One validated section of the counterexample.
 
     Invariants checked at construction: the functional vanishes on e_1 and
-    has dual norm 1 - 2^(1-dim) < 1, and operator + perturbation
-    materializes to the identity.
+    has dual norm 1 - 2^(1-dim) < 1, and operator + perturbation is the
+    identity.
     """
 
     kind: FamilyKind
     dim: int
     functional: Covector
-    operator: Operator
-    perturbation: Operator
+    operator: Dense
+    perturbation: RankOne
 
     def __post_init__(self) -> None:
         if self.functional.coeff(1) != 0:
@@ -143,9 +151,8 @@ class CounterexampleFamily:
             raise ValueError(
                 f"functional dual norm {dual_norm_l1(self.functional)} != {expected}"
             )
-        repaired = materialize(add(self.operator, self.perturbation))
-        if repaired.entries != Identity(self.dim).rows():
-            raise ValueError("operator + perturbation must materialize to the identity")
+        if add(self.operator, self.perturbation) != identity(self.dim):
+            raise ValueError("operator + perturbation must be the identity")
 
 
 def c0_family(n: int) -> CounterexampleFamily:
@@ -166,11 +173,10 @@ def direct_sum_family(n: int) -> CounterexampleFamily:
     if n < 2:
         raise ValueError("the direct sum needs dimension >= 2")
     f_y = shifted_geometric_functional(n - 1)
-    lifted = Covector((_ZERO,) + f_y.coeffs)
     return CounterexampleFamily(
         kind=FamilyKind.DIRECT_SUM,
         dim=n,
-        functional=lifted,
+        functional=_lift(f_y),
         operator=direct_sum_operator(f_y),
         perturbation=direct_sum_perturbation(f_y),
     )

@@ -22,7 +22,7 @@ Rational = Fraction
 
 RationalInput = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def rat(p: int, q: int = 1) -> Rational:
@@ -58,7 +58,7 @@ def format_rational(value: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of :func:`format_rational`; accepts only ``p`` or ``p/q``."""
+    """Inverse of :func:`format_rational`; accepts only ``p`` or ``p/q`` with q != 0."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not an exact rational literal: {text!r}")
     return Fraction(text.strip())

@@ -39,7 +39,7 @@ from .exactnum import (
     format_rational,
     sup_norm,
 )
-from .linops import Operator, RankOne, add, op_norm_sup, zero_operator
+from .linops import Operator, RankOne, add, op_norm_sup
 from .minmod import min_modulus_sup
 
 SCHEMA_VERSION = 1
@@ -391,8 +391,10 @@ def rank_one_search(
     current step (round-robin over u then g, +step before -step), scored by
     the exact facet-LP minimum modulus of T + K; the step halves after a
     full stalled round and a fresh random restart replaces it when it
-    underflows.  Identical seeds give identical outcomes, and the reported
-    score is recomputed from the returned perturbation alone.
+    underflows.  When no visited K beats K = 0, the zero perturbation is
+    returned, so the gain is never negative.  Identical seeds give identical
+    outcomes, and the reported score is recomputed from the returned
+    perturbation alone.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -497,6 +499,8 @@ def rank_one_search(
                         best_u, best_g, best_score = u, g, current
 
     perturbation = RankOne(Vector(best_u), Covector(best_g))
+    if best_score < base:
+        perturbation, best_score = _zero_rank_one(n), base
     recomputed = min_modulus_sup(add(T, perturbation)).value
     if recomputed != best_score:
         raise InvariantViolation("search score disagrees with its recomputation")

@@ -1,29 +1,24 @@
-"""Structured linear operators on N-sections.
+"""Square operators on N-sections.
 
-Operators are immutable trees built from six node kinds: ``Dense``,
-``Identity``, ``Diagonal``, ``RankOne``, ``Sum``, ``Scaled``.  Application
-is structure-aware (a rank-one node applies in O(N) without ever forming
-its matrix); ``materialize`` flattens any tree to its dense matrix, and
-the sup-operator norm is the maximal row l1 sum of that matrix, together
+``Dense`` is the lab's one operator type: both engines read rows of a
+matrix, so the builders (``identity``, ``diagonal``, ``add``, ``scale``,
+``zero_operator``) return a ``Dense`` eagerly.  ``RankOne`` only records
+the two factors of u (x) g, the form in which perturbations are searched
+and reported; the builders and ``materialize`` take its outer product.
+The sup-operator norm is the maximal row l1 sum of the matrix, together
 with a sign-vector witness attaining it.
 
-All nodes are square: dimension discipline is strict and mismatches raise
-``ValueError`` instead of broadcasting.
+Dimension discipline is strict: mismatches raise ``ValueError`` instead
+of broadcasting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Union
 
-from .exactnum import (
-    Covector,
-    Rational,
-    RationalInput,
-    Vector,
-    as_rational,
-    evaluate,
-)
+from .exactnum import Covector, Rational, RationalInput, Vector, as_rational
 
 Row = tuple[Rational, ...]
 Matrix = tuple[Row, ...]
@@ -32,26 +27,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class Operator:
-    """Base class for operator nodes; not instantiated directly."""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def apply(self, x: Vector) -> Vector:
-        raise NotImplementedError
-
-    def rows(self) -> Matrix:
-        raise NotImplementedError
-
-    def _check_arg(self, x: Vector) -> None:
-        if len(x) != self.dim:
-            raise ValueError(f"dimension mismatch: operator is {self.dim}, vector is {len(x)}")
-
-
 @dataclass(frozen=True)
-class Dense(Operator):
+class Dense:
     """Explicit square matrix, stored row-major."""
 
     entries: Matrix
@@ -71,7 +48,8 @@ class Dense(Operator):
         return len(self.entries)
 
     def apply(self, x: Vector) -> Vector:
-        self._check_arg(x)
+        if len(x) != self.dim:
+            raise ValueError(f"dimension mismatch: operator is {self.dim}, vector is {len(x)}")
         return Vector(
             tuple(sum((a * b for a, b in zip(row, x.coords)), _ZERO) for row in self.entries)
         )
@@ -81,53 +59,8 @@ class Dense(Operator):
 
 
 @dataclass(frozen=True)
-class Identity(Operator):
-    """x -> x on the n-section."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("sections have dimension >= 1")
-
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def apply(self, x: Vector) -> Vector:
-        self._check_arg(x)
-        return x
-
-    def rows(self) -> Matrix:
-        return tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(self.n)) for i in range(self.n)
-        )
-
-
-@dataclass(frozen=True)
-class Diagonal(Operator):
-    """Coordinatewise multiplication by a fixed vector."""
-
-    diag: Vector
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-    def apply(self, x: Vector) -> Vector:
-        self._check_arg(x)
-        return Vector(tuple(d * c for d, c in zip(self.diag.coords, x.coords)))
-
-    def rows(self) -> Matrix:
-        n = self.dim
-        return tuple(
-            tuple(self.diag.coords[i] if i == j else _ZERO for j in range(n)) for i in range(n)
-        )
-
-
-@dataclass(frozen=True)
-class RankOne(Operator):
-    """x -> functional(x) * direction; applies in O(N)."""
+class RankOne:
+    """The factors of x -> functional(x) * direction."""
 
     direction: Vector
     functional: Covector
@@ -143,87 +76,47 @@ class RankOne(Operator):
     def dim(self) -> int:
         return len(self.direction)
 
-    def apply(self, x: Vector) -> Vector:
-        self._check_arg(x)
-        s = evaluate(self.functional, x)
-        return Vector(tuple(s * u for u in self.direction.coords))
-
     def rows(self) -> Matrix:
         g = self.functional.coeffs
         return tuple(tuple(u * gj for gj in g) for u in self.direction.coords)
 
 
-@dataclass(frozen=True)
-class Sum(Operator):
-    """Pointwise sum of same-dimension operators."""
-
-    parts: tuple[Operator, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("a sum needs at least one part")
-        dims = {p.dim for p in self.parts}
-        if len(dims) != 1:
-            raise ValueError(f"dimension mismatch in sum: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim
-
-    def apply(self, x: Vector) -> Vector:
-        self._check_arg(x)
-        out = self.parts[0].apply(x)
-        for p in self.parts[1:]:
-            out = out + p.apply(x)
-        return out
-
-    def rows(self) -> Matrix:
-        acc = [list(row) for row in self.parts[0].rows()]
-        for p in self.parts[1:]:
-            for i, row in enumerate(p.rows()):
-                for j, e in enumerate(row):
-                    acc[i][j] += e
-        return tuple(tuple(row) for row in acc)
+Operator = Union[Dense, RankOne]
 
 
-@dataclass(frozen=True)
-class Scaled(Operator):
-    """factor * inner."""
-
-    factor: Rational
-    inner: Operator
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factor", as_rational(self.factor))
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def apply(self, x: Vector) -> Vector:
-        return self.factor * self.inner.apply(x)
-
-    def rows(self) -> Matrix:
-        return tuple(tuple(self.factor * e for e in row) for row in self.inner.rows())
+def diagonal(values: Iterable[RationalInput]) -> Dense:
+    """Coordinatewise multiplication by a fixed vector."""
+    d = tuple(as_rational(v) for v in values)
+    n = len(d)
+    return Dense(tuple(tuple(d[i] if i == j else _ZERO for j in range(n)) for i in range(n)))
 
 
-def add(*operators: Operator) -> Operator:
-    """Lazy sum node; dimensions must agree."""
-    if len(operators) == 1:
-        return operators[0]
-    return Sum(tuple(operators))
-
-
-def scale(factor: RationalInput, operator: Operator) -> Operator:
-    return Scaled(as_rational(factor), operator)
+def identity(n: int) -> Dense:
+    return diagonal((_ONE,) * n)
 
 
 def zero_operator(n: int) -> Dense:
-    return Dense(tuple((_ZERO,) * n for _ in range(n)))
+    return diagonal((_ZERO,) * n)
+
+
+def add(*operators: Operator) -> Dense:
+    """Entrywise sum; dimensions must agree."""
+    dims = {op.dim for op in operators}
+    if len(dims) != 1:
+        raise ValueError(f"dimension mismatch in sum: {sorted(dims)}")
+    return Dense(tuple(
+        tuple(sum(column, _ZERO) for column in zip(*rows))
+        for rows in zip(*(op.rows() for op in operators))
+    ))
+
+
+def scale(factor: RationalInput, operator: Operator) -> Dense:
+    c = as_rational(factor)
+    return Dense(tuple(tuple(c * e for e in row) for row in operator.rows()))
 
 
 def materialize(operator: Operator) -> Dense:
-    """Flatten to a dense matrix; already-dense operators pass through."""
+    """The dense matrix; a ``Dense`` passes through, a ``RankOne`` is expanded."""
     if isinstance(operator, Dense):
         return operator
     return Dense(operator.rows())

@@ -33,7 +33,7 @@ _ONE = Fraction(1)
 
 
 class BudgetExceededError(RuntimeError):
-    """The oracle ran out of its evaluation budget before certifying."""
+    """A configured budget (oracle box evaluations, LP dimension) ran out or would be exceeded."""
 
 
 @dataclass(frozen=True)

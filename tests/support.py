@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from minmodlab.exactnum import Vector
-from minmodlab.linops import Dense, Diagonal, Identity, Operator, RankOne, Scaled, Sum
+from minmodlab.exactnum import Covector, Vector
+from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, scale
 from minmodlab.lpsolve import LinearProgram, LPStatus, Relation, linear_program, solve
 
 
@@ -30,7 +30,7 @@ def random_sphere_point(rng: random.Random, n: int, denominator: int = 64) -> Ve
 
 
 def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Operator:
-    """Random operator tree mixing every node kind."""
+    """Random operator from every builder, or a bare rank-one record."""
     kinds = ["dense", "diagonal", "rankone", "identity"]
     if depth > 0:
         kinds += ["sum", "scaled"]
@@ -38,23 +38,19 @@ def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Op
     if kind == "dense":
         return Dense(tuple(tuple(small_fraction(rng, 4) for _ in range(n)) for _ in range(n)))
     if kind == "diagonal":
-        return Diagonal(Vector(tuple(small_fraction(rng, 4) for _ in range(n))))
+        return diagonal(small_fraction(rng, 4) for _ in range(n))
     if kind == "rankone":
         u = Vector(tuple(small_fraction(rng, 4) for _ in range(n)))
-        from minmodlab.exactnum import Covector
-
         g = Covector(tuple(small_fraction(rng, 4) for _ in range(n)))
         return RankOne(u, g)
     if kind == "identity":
-        return Identity(n)
+        return identity(n)
     if kind == "sum":
-        return Sum(
-            (
-                random_structured_operator(rng, n, depth - 1),
-                random_structured_operator(rng, n, depth - 1),
-            )
+        return add(
+            random_structured_operator(rng, n, depth - 1),
+            random_structured_operator(rng, n, depth - 1),
         )
-    return Scaled(small_fraction(rng, 3), random_structured_operator(rng, n, depth - 1))
+    return scale(small_fraction(rng, 3), random_structured_operator(rng, n, depth - 1))
 
 
 def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:

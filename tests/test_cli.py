@@ -115,6 +115,29 @@ def test_diagonal_spec_validation(capsys):
     assert code == EXIT_USAGE
 
 
+def test_zero_denominators_are_rejected_cleanly(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "minmod", "diagonal:1,1/0", "2")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, _, err = run_cli(capsys, "oracle", "paper-t", "3", "1/0")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.count("\n") == 1
+    path = tmp_path / "div0.mat"
+    path.write_text("2\n1 1/0\n0 1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "minmod", str(path), "2")
+    assert code == EXIT_IO
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'1/0'" in err
+
+
+def test_dimension_budget_is_checked_before_building(capsys):
+    for argv in (("minmod", "paper-t", "65"), ("search", "65", "--seed", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err.startswith("error:") and "budget 64" in err and err.count("\n") == 1
+
+
 # --- matrix files --------------------------------------------------------------
 
 

@@ -32,7 +32,7 @@ from minmodlab.exactnum import (
     vector,
     zero_vector,
 )
-from minmodlab.linops import Identity, add, materialize, scale
+from minmodlab.linops import add, identity, materialize, scale
 from minmodlab.minmod import min_modulus_sup
 
 
@@ -73,14 +73,13 @@ def test_deflation_matrix_at_dimension_two():
 
 def test_repair_applies_as_expected():
     k = deflation_repair(3)
-    assert k.apply(basis_vector(1, 3)) == zero_vector(3)
-    assert k.apply(basis_vector(3, 3)).coords == (Fraction(1, 4), 0, 0)
+    assert materialize(k).apply(basis_vector(1, 3)) == zero_vector(3)
+    assert materialize(k).apply(basis_vector(3, 3)).coords == (Fraction(1, 4), 0, 0)
 
 
 def test_repair_restores_the_identity():
     for n in range(2, 7):
-        repaired = materialize(add(deflation_operator(n), deflation_repair(n)))
-        assert repaired.entries == Identity(n).rows()
+        assert add(deflation_operator(n), deflation_repair(n)) == identity(n)
 
 
 def test_minimizing_vector_shape():

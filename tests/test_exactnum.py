@@ -55,7 +55,7 @@ def test_rational_wire_format():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3"
     assert parse_rational("-3/6") == Fraction(-1, 2)
-    for bad in ("1.5", "3e2", "a/b", "1/2/3", ""):
+    for bad in ("1.5", "3e2", "a/b", "1/2/3", "", "1/0", "-2/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 

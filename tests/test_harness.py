@@ -146,13 +146,19 @@ def test_weak_null_handles_mixed_lengths_and_validates():
 
 
 def test_search_is_deterministic():
-    t = deflation_operator(3)
-    first = rank_one_search(t, Fraction(1, 2), seed=11, iterations=30)
-    second = rank_one_search(t, Fraction(1, 2), seed=11, iterations=30)
-    assert first == second
-    assert first.norm <= Fraction(1, 2)
-    assert first.perturbed_value == first.base_value + first.gain
-    assert first.gain >= 0
+    cases = [
+        (3, Fraction(1, 2), 11, 30),
+        # this short search visits no K that beats K = 0
+        (5, Fraction(1), 646892613, 8),
+    ]
+    for n, budget, seed, iterations in cases:
+        t = deflation_operator(n)
+        first = rank_one_search(t, budget, seed=seed, iterations=iterations)
+        second = rank_one_search(t, budget, seed=seed, iterations=iterations)
+        assert first == second
+        assert first.norm <= budget
+        assert first.perturbed_value == first.base_value + first.gain
+        assert first.gain >= 0
 
 
 def test_search_zero_budget_returns_the_zero_perturbation():

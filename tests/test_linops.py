@@ -1,4 +1,4 @@
-"""Structured operator nodes, materialization, and the sup operator norm."""
+"""Dense builders, the rank-one factor record, materialization, and the sup operator norm."""
 
 from __future__ import annotations
 
@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm, vector, zero_vector
 from minmodlab.linops import (
     Dense,
-    Diagonal,
-    Identity,
     RankOne,
-    Scaled,
-    Sum,
     add,
+    diagonal,
+    identity,
     materialize,
     op_norm_sup,
     op_norm_witness,
@@ -29,14 +27,15 @@ from support import random_sphere_point, random_structured_operator
 
 def test_identity_applies_and_materializes():
     x = vector([1, "-1/2", "1/4"])
-    assert Identity(3).apply(x) == x
-    assert materialize(Identity(2)).entries == ((1, 0), (0, 1))
+    assert identity(3).apply(x) == x
+    assert materialize(identity(2)).entries == ((1, 0), (0, 1))
 
 
 def test_rank_one_applies_in_terms_of_the_functional():
     k = RankOne(basis_vector(1, 3), Covector((0, Fraction(1, 2), Fraction(1, 4))))
-    assert k.apply(vector([0, 1, 0])).coords == (Fraction(1, 2), 0, 0)
-    assert k.apply(basis_vector(1, 3)) == zero_vector(3)
+    assert materialize(k).entries == ((0, Fraction(1, 2), Fraction(1, 4)), (0, 0, 0), (0, 0, 0))
+    assert materialize(k).apply(vector([0, 1, 0])).coords == (Fraction(1, 2), 0, 0)
+    assert materialize(k).apply(basis_vector(1, 3)) == zero_vector(3)
 
 
 def test_dense_must_be_square():
@@ -46,13 +45,17 @@ def test_dense_must_be_square():
 
 def test_dimension_discipline():
     with pytest.raises(ValueError):
-        Identity(3).apply(vector([1, 2]))
+        identity(3).apply(vector([1, 2]))
     with pytest.raises(ValueError):
-        Sum((Identity(2), Identity(3)))
+        add(identity(2), identity(3))
     with pytest.raises(ValueError):
         RankOne(vector([1, 0]), Covector((1, 0, 0)))
     with pytest.raises(ValueError):
-        add(Identity(2), Identity(4)).apply(vector([1, 2]))
+        add(identity(2), RankOne(vector([1, 0, 0]), Covector((1, 0, 0))))
+    with pytest.raises(ValueError):
+        add()
+    with pytest.raises(ValueError):
+        identity(0)
 
 
 def test_materialize_passes_dense_through():
@@ -65,11 +68,11 @@ def test_scale_examples():
     x = vector([2, 3])
     assert scale(1, a).apply(x) == a.apply(x)
     assert scale(0, a).apply(x) == zero_vector(2)
-    assert op_norm_sup(Scaled(-2, Identity(4))) == 2
+    assert op_norm_sup(scale(-2, identity(4))) == 2
 
 
 def test_op_norm_examples():
-    assert op_norm_sup(Identity(7)) == 1
+    assert op_norm_sup(identity(7)) == 1
     assert op_norm_sup(zero_operator(3)) == 0
     # max row l1: rows (1, -1/2) and (0, 1) give 3/2
     assert op_norm_sup(Dense(((1, "-1/2"), (0, 1)))) == Fraction(3, 2)
@@ -86,28 +89,18 @@ def test_op_norm_witness_attains():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6), st.integers(1, 5))
-def test_structured_apply_matches_dense_apply(seed, n):
-    rng = random.Random(seed)
-    op = random_structured_operator(rng, n)
-    dense = materialize(op)
-    for _ in range(3):
-        x = random_sphere_point(rng, n, denominator=16)
-        assert op.apply(x) == dense.apply(x)
-
-
-@settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 4))
 def test_op_norm_witness_is_exact(seed, n):
     rng = random.Random(seed)
     op = random_structured_operator(rng, n)
     value, witness = op_norm_witness(op)
+    dense = materialize(op)
     assert sup_norm(witness) == 1
-    assert sup_norm(op.apply(witness)) == value
+    assert sup_norm(dense.apply(witness)) == value
     # no sampled sphere point may beat the witness
     for _ in range(5):
         x = random_sphere_point(rng, n, denominator=8)
-        assert sup_norm(op.apply(x)) <= value
+        assert sup_norm(dense.apply(x)) <= value
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,8 +123,17 @@ def test_rank_one_norm_is_product_of_norms():
 def test_sum_and_scaled_materialize_entrywise():
     a = Dense(((1, 0), ("1/2", "1/3")))
     b = Dense(((0, 1), (1, "-1/3")))
-    assert materialize(Sum((a, b))).entries == ((1, 1), (Fraction(3, 2), 0))
-    assert materialize(Scaled(Fraction(-1, 2), a)).entries == (
+    assert materialize(add(a, b)).entries == ((1, 1), (Fraction(3, 2), 0))
+    assert materialize(scale(Fraction(-1, 2), a)).entries == (
         (Fraction(-1, 2), 0),
         (Fraction(-1, 4), Fraction(-1, 6)),
     )
+
+
+def test_builders_return_dense():
+    k = RankOne(vector([1, "-1/2"]), Covector((Fraction(1, 2), 0)))
+    built = [identity(2), diagonal([2, "1/3"]), zero_operator(2), add(k), scale(3, k), add(identity(2), k)]
+    assert all(isinstance(op, Dense) for op in built)
+    assert diagonal([2, "1/3"]).entries == ((2, 0), (0, Fraction(1, 3)))
+    assert add(identity(2), k).entries == ((Fraction(3, 2), 0), (Fraction(-1, 4), 1))
+    assert add(k) == materialize(k)
