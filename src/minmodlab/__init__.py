@@ -42,9 +42,7 @@ from .lpsolve import (
     LPResult,
     LPStatus,
     Relation,
-    dump_lp,
     linear_program,
-    parse_lp,
     solve,
 )
 from .minmod import (

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,56 +72,12 @@ class MatrixFormatError(ValueError):
     """A dense matrix file that does not follow the documented format."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; echoed into every report header."""
-
-    command: str
-    n: Optional[int] = None
-    n_min: Optional[int] = None
-    n_max: Optional[int] = None
-    operator_spec: Optional[str] = None
-    resolution: Optional[Rational] = None
-    point_budget: Optional[int] = None
-    lp_dimension_budget: Optional[int] = None
-    search_budget: Optional[Rational] = None
-    iterations: Optional[int] = None
-    seed: Optional[int] = None
-    fmt: str = "csv"
-    out: Optional[str] = None
-    approx: bool = False
-    timestamp: bool = False
-    inject_fault: Optional[str] = None
-
-    def header_pairs(self) -> tuple[tuple[str, str], ...]:
-        pairs = [("command", self.command)]
-        for key in (
-            "n",
-            "n_min",
-            "n_max",
-            "operator_spec",
-            "resolution",
-            "point_budget",
-            "lp_dimension_budget",
-            "search_budget",
-            "iterations",
-            "seed",
-            "inject_fault",
-        ):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if isinstance(value, Fraction):
-                pairs.append((f"config.{key}", format_rational(value)))
-            else:
-                pairs.append((f"config.{key}", str(value)))
-        pairs.append(("config.format", self.fmt))
-        return tuple(pairs)
-
-
 def read_dense_operator(path: str | Path) -> Dense:
     """Parse the documented plain-text format into a dense operator."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MatrixFormatError(f"{path}: empty matrix file")
@@ -282,39 +237,21 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (report source, exit code, stderr note or None).
+# A handler that parses a rational argument stores the parsed value back in args, so the
+# header echoes its canonical form (h = 2/32 is echoed as 1/16).
 
 
-def _emit(source, cfg: RunConfig) -> None:
-    text = emit_report(
-        source,
-        cfg.fmt,
-        None,
-        extra_header=cfg.header_pairs(),
-        approx=cfg.approx,
-        timestamp=cfg.timestamp,
-    )
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(cfg.out).write_text(text, encoding="utf-8")
-
-
-def _cmd_paper_check(args) -> int:
-    cfg = _config_from(args, command="paper-check", n_max=args.n_max, inject_fault=args.inject_fault)
+def _cmd_paper_check(args):
     report, ok = run_paper_check(args.n_max, args.inject_fault)
-    _emit(report, cfg)
-    if not ok:
-        failed = [row[0] for row in report.rows if row[1] == "fail"]
-        print(f"paper-check: {len(failed)} check(s) failed: {', '.join(failed[:5])}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    if ok:
+        return report, EXIT_OK, None
+    failed = [row[0] for row in report.rows if row[1] == "fail"]
+    return report, EXIT_CHECK_FAILED, f"paper-check: {len(failed)} check(s) failed: {', '.join(failed[:5])}"
 
 
-def _cmd_minmod(args) -> int:
-    _check_dimension_budget(args.n)
-    cfg = _config_from(args, command="minmod", n=args.n, operator_spec=args.spec)
-    operator = build_operator(args.spec, args.n)
+def _cmd_minmod(args):
+    operator = build_operator(args.operator_spec, args.n)
     result = min_modulus_sup(operator, check_mirror=args.mirror_check)
     header = (
         ("value", format_rational(result.value)),
@@ -328,44 +265,22 @@ def _cmd_minmod(args) -> int:
         columns=("facet", "facet_value"),
         rows=tuple((k + 1, v) for k, v in enumerate(result.facet_values)),
     )
-    _emit(report, cfg)
-    return EXIT_OK
+    return report, EXIT_OK, None
 
 
-def _cmd_converge(args) -> int:
-    cfg = _config_from(
-        args,
-        command="converge",
-        n_min=args.n_min,
-        n_max=args.n_max,
-        lp_dimension_budget=args.lp_budget,
-    )
-    config = HarnessConfig(lp_dimension_budget=args.lp_budget)
-    study = convergence_study(args.n_min, args.n_max, config=config)
-    _emit(study, cfg)
-    if study.partial:
-        print(
-            f"converge: stopped at the LP dimension budget {args.lp_budget} "
-            f"(requested up to {args.n_max})",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-    return EXIT_OK
+def _cmd_converge(args):
+    budget = args.lp_dimension_budget
+    study = convergence_study(args.n_min, args.n_max, config=HarnessConfig(lp_dimension_budget=budget))
+    if not study.partial:
+        return study, EXIT_OK, None
+    note = f"converge: stopped at the LP dimension budget {budget} (requested up to {args.n_max})"
+    return study, EXIT_BUDGET, note
 
 
-def _cmd_oracle(args) -> int:
-    _check_dimension_budget(args.n)
-    resolution = _parse_rational_arg(args.h, "h")
-    cfg = _config_from(
-        args,
-        command="oracle",
-        n=args.n,
-        operator_spec=args.spec,
-        resolution=resolution,
-        point_budget=args.point_budget,
-    )
-    operator = build_operator(args.spec, args.n)
-    result = brute_force_min(operator, resolution, point_budget=args.point_budget)
+def _cmd_oracle(args):
+    args.resolution = _parse_rational_arg(args.resolution, "h")
+    operator = build_operator(args.operator_spec, args.n)
+    result = brute_force_min(operator, args.resolution, point_budget=args.point_budget)
     header = (
         ("upper", format_rational(result.upper)),
         ("lower", format_rational(result.lower)),
@@ -379,13 +294,10 @@ def _cmd_oracle(args) -> int:
         columns=("bound", "value"),
         rows=(("upper", result.upper), ("lower", result.lower)),
     )
-    _emit(report, cfg)
-    return EXIT_OK
+    return report, EXIT_OK, None
 
 
-def _cmd_perturb(args) -> int:
-    _check_dimension_budget(args.n)
-    cfg = _config_from(args, command="perturb", n=args.n)
+def _cmd_perturb(args):
     family = c0_family(args.n)
     gain = perturbation_gain(family.operator, family.perturbation)
     header = (
@@ -399,34 +311,15 @@ def _cmd_perturb(args) -> int:
         columns=("quantity", "value"),
         rows=(("m_T", gain.base), ("m_TK", gain.perturbed), ("gain", gain.gain)),
     )
-    _emit(report, cfg)
-    return EXIT_OK
+    return report, EXIT_OK, None
 
 
-def _cmd_search(args) -> int:
-    _check_dimension_budget(args.n)
-    budget = _parse_rational_arg(args.budget, "budget")
-    cfg = _config_from(
-        args,
-        command="search",
-        n=args.n,
-        search_budget=budget,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
+def _cmd_search(args):
+    args.search_budget = _parse_rational_arg(args.search_budget, "budget")
     outcome = rank_one_search(
-        deflation_operator(args.n), budget, seed=args.seed, iterations=args.iterations
+        deflation_operator(args.n), args.search_budget, seed=args.seed, iterations=args.iterations
     )
-    _emit(outcome, cfg)
-    return EXIT_OK
-
-
-def _check_dimension_budget(n: int) -> None:
-    """Refuse a section above the LP dimension budget before anything is built."""
-    if n > DEFAULT_CONFIG.lp_dimension_budget:
-        raise BudgetExceededError(
-            f"dimension {n} exceeds the LP dimension budget {DEFAULT_CONFIG.lp_dimension_budget}"
-        )
+    return outcome, EXIT_OK, None
 
 
 def _parse_rational_arg(text: str, name: str) -> Rational:
@@ -436,21 +329,94 @@ def _parse_rational_arg(text: str, name: str) -> Rational:
         raise UsageError(f"{name} must be an exact rational like 1/200, got {text!r}") from None
 
 
-def _config_from(args, **fields) -> RunConfig:
-    return RunConfig(
-        fmt=args.format,
-        out=args.out,
+# Parsed arguments echoed into every report header as config.<key>, in this order.
+_ECHOED = (
+    "n",
+    "n_min",
+    "n_max",
+    "operator_spec",
+    "resolution",
+    "point_budget",
+    "lp_dimension_budget",
+    "search_budget",
+    "iterations",
+    "seed",
+    "inject_fault",
+)
+
+
+def _run(args) -> int:
+    """Check the dimension budget, run the handler, emit its report, then print its note."""
+    # paper-check builds every section up to n_max; converge stops at its own --lp-budget instead
+    dimension = args.n_max if args.command == "paper-check" else getattr(args, "n", None)
+    if dimension is not None and dimension > DEFAULT_CONFIG.lp_dimension_budget:
+        raise BudgetExceededError(
+            f"dimension {dimension} exceeds the LP dimension budget {DEFAULT_CONFIG.lp_dimension_budget}"
+        )
+    source, code, note = args.handler(args)
+    header = [("command", args.command)]
+    for key in _ECHOED:
+        value = getattr(args, key, None)
+        if value is not None:
+            header.append((f"config.{key}", str(value)))
+    header.append(("config.format", args.format))
+    emit_report(
+        source,
+        args.format,
+        sys.stdout if args.out is None else args.out,
+        extra_header=header,
         approx=args.approx,
         timestamp=args.timestamp,
-        **fields,
     )
+    if note is not None:
+        print(note, file=sys.stderr)
+    return code
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--approx", action="store_true", help="add labeled 12-place decimal columns")
-    parser.add_argument("--timestamp", action="store_true", help="include a generation timestamp header")
+_SPEC_HELP = "paper-t | paper-k | identity | diagonal:a,b,... | direct-sum | matrix file"
+
+# (name, help, handler, arguments); each argument is (name or flag, add_argument keywords)
+_COMMANDS = (
+    ("paper-check", "run the fixed exact regression suite", _cmd_paper_check, (
+        ("--n-max", dict(type=int, default=10)),
+        ("--inject-fault", dict(default=None, help="test mode: corrupt an ingredient (corrupt-f)")),
+    )),
+    ("minmod", "exact minimum modulus of an operator", _cmd_minmod, (
+        ("operator_spec", dict(metavar="spec", help=_SPEC_HELP)),
+        ("n", dict(type=int)),
+        ("--mirror-check", dict(action="store_true", help="also solve all sign -1 facets and verify symmetry")),
+    )),
+    ("converge", "per-section minimum moduli vs the closed form", _cmd_converge, (
+        ("n_min", dict(type=int)),
+        ("n_max", dict(type=int)),
+        ("--lp-budget", dict(
+            type=int,
+            default=DEFAULT_CONFIG.lp_dimension_budget,
+            dest="lp_dimension_budget",
+            metavar="LP_BUDGET",
+        )),
+    )),
+    ("oracle", "certified sampling bracket, independent of the LP engine", _cmd_oracle, (
+        ("operator_spec", dict(metavar="spec")),
+        ("n", dict(type=int)),
+        ("resolution", dict(metavar="h", help="resolution as an exact rational, e.g. 1/200")),
+        ("--point-budget", dict(type=int, default=DEFAULT_CONFIG.oracle_point_budget)),
+    )),
+    ("perturb", "m(T), m(T+K), gain for the named construction", _cmd_perturb, (
+        ("n", dict(type=int)),
+    )),
+    ("search", "seeded rank-one perturbation search on the named construction", _cmd_search, (
+        ("n", dict(type=int)),
+        ("--budget", dict(
+            default="1",
+            dest="search_budget",
+            metavar="BUDGET",
+            help="norm cap for the perturbation (exact rational)",
+        )),
+        ("--iterations", dict(type=int, default=DEFAULT_CONFIG.search_iterations)),
+        ("--seed", dict(type=int, required=True)),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,48 +425,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact minimum-modulus laboratory on sup-norm sections.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("paper-check", help="run the fixed exact regression suite")
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--inject-fault", default=None, help="test mode: corrupt an ingredient (corrupt-f)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_paper_check)
-
-    p = sub.add_parser("minmod", help="exact minimum modulus of an operator")
-    p.add_argument("spec", help="paper-t | paper-k | identity | diagonal:a,b,... | direct-sum | matrix file")
-    p.add_argument("n", type=int)
-    p.add_argument("--mirror-check", action="store_true", help="also solve all sign -1 facets and verify symmetry")
-    _add_common(p)
-    p.set_defaults(func=_cmd_minmod)
-
-    p = sub.add_parser("converge", help="per-section minimum moduli vs the closed form")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
-    p.add_argument("--lp-budget", type=int, default=DEFAULT_CONFIG.lp_dimension_budget)
-    _add_common(p)
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("oracle", help="certified sampling bracket, independent of the LP engine")
-    p.add_argument("spec")
-    p.add_argument("n", type=int)
-    p.add_argument("h", help="resolution as an exact rational, e.g. 1/200")
-    p.add_argument("--point-budget", type=int, default=DEFAULT_CONFIG.oracle_point_budget)
-    _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("perturb", help="m(T), m(T+K), gain for the named construction")
-    p.add_argument("n", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_perturb)
-
-    p = sub.add_parser("search", help="seeded rank-one perturbation search on the named construction")
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", default="1", help="norm cap for the perturbation (exact rational)")
-    p.add_argument("--iterations", type=int, default=DEFAULT_CONFIG.search_iterations)
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_search)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.add_argument("--approx", action="store_true", help="add labeled 12-place decimal columns")
+        p.add_argument("--timestamp", action="store_true", help="include a generation timestamp header")
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -511,7 +444,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -47,6 +47,8 @@ SCHEMA_VERSION = 1
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+_SEARCH_INITIAL_STEP = Fraction(1, 2)
+_SEARCH_MIN_STEP = Fraction(1, 64)
 
 
 class InvariantViolation(AssertionError):
@@ -60,8 +62,6 @@ class HarnessConfig:
     lp_dimension_budget: int = 64
     oracle_point_budget: int = 500_000
     search_iterations: int = 200
-    search_initial_step: Rational = Fraction(1, 2)
-    search_min_step: Rational = Fraction(1, 64)
 
 
 DEFAULT_CONFIG = HarnessConfig()
@@ -450,7 +450,7 @@ def rank_one_search(
     u, g = random_state()
     current = score(u, g)
     best_u, best_g, best_score = u, g, current
-    step = config.search_initial_step
+    step = _SEARCH_INITIAL_STEP
     stall = 0
     round_length = 2 * n
 
@@ -491,10 +491,10 @@ def rank_one_search(
             if stall >= round_length:
                 stall = 0
                 step = step / 2
-                if step < config.search_min_step:
+                if step < _SEARCH_MIN_STEP:
                     u, g = random_state()
                     current = score(u, g)
-                    step = config.search_initial_step
+                    step = _SEARCH_INITIAL_STEP
                     if current > best_score:
                         best_u, best_g, best_score = u, g, current
 

@@ -429,49 +429,3 @@ def solve(lp: LinearProgram) -> LPResult:
     _verify(lp, point, value)
     return LPResult(LPStatus.OPTIMAL, value, point)
 
-
-def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text round-trippable dump (one token stream per line)."""
-    lines = [f"lp {lp.num_vars}"]
-    lines.append("min " + " ".join(str(c) for c in lp.objective))
-    for con in lp.constraints:
-        lines.append(
-            "row " + " ".join(str(c) for c in con.coeffs) + f" {con.relation.value} {con.rhs}"
-        )
-    for lo, up in zip(lp.lower, lp.upper):
-        lines.append(f"bnd {'*' if lo is None else lo} {'*' if up is None else up}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_lp(text: str) -> LinearProgram:
-    """Inverse of :func:`dump_lp`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("lp "):
-        raise ValueError("dump must start with 'lp <num_vars>'")
-    n = int(lines[0].split()[1])
-    objective: Optional[list] = None
-    constraints = []
-    bounds = []
-    for ln in lines[1:]:
-        kind, *toks = ln.split()
-        if kind == "min":
-            objective = [Fraction(t) for t in toks]
-        elif kind == "row":
-            if len(toks) != n + 2:
-                raise ValueError(f"row line needs {n} coefficients, a relation, and a rhs: {ln!r}")
-            coeffs = [Fraction(t) for t in toks[:n]]
-            rel, rhs = toks[n], toks[n + 1]
-            constraints.append((coeffs, rel, Fraction(rhs)))
-        elif kind == "bnd":
-            if len(toks) != 2:
-                raise ValueError(f"bnd line needs a lower and an upper token: {ln!r}")
-            lo = None if toks[0] == "*" else Fraction(toks[0])
-            up = None if toks[1] == "*" else Fraction(toks[1])
-            bounds.append((lo, up))
-        else:
-            raise ValueError(f"unknown dump line {ln!r}")
-    if objective is None or len(objective) != n:
-        raise ValueError("dump is missing a matching 'min' line")
-    if len(bounds) != n:
-        raise ValueError(f"dump has {len(bounds)} bound lines, expected {n}")
-    return linear_program(objective, constraints, bounds)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,11 @@ def test_zero_denominators_are_rejected_cleanly(tmp_path, capsys):
 
 
 def test_dimension_budget_is_checked_before_building(capsys):
-    for argv in (("minmod", "paper-t", "65"), ("search", "65", "--seed", "1")):
+    for argv in (
+        ("minmod", "paper-t", "65"),
+        ("search", "65", "--seed", "1"),
+        ("paper-check", "--n-max", "65"),
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_BUDGET
         assert out == ""
@@ -169,6 +174,11 @@ def test_malformed_matrix_file(tmp_path, capsys):
     path.write_text("2\n1 0\n", encoding="utf-8")
     code, _, _ = run_cli(capsys, "minmod", str(path), "2")
     assert code == EXIT_IO
+
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "minmod", str(path), "2")
+    assert code == EXIT_IO
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_matrix_file(capsys):
@@ -270,6 +280,31 @@ def test_search_requires_a_seed(capsys):
 
 
 # --- shared emission options -----------------------------------------------------
+
+
+def test_report_header_echoes_the_parsed_arguments(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("$ minmodlab minmod paper-t 3\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run_cli(capsys, "minmod", "paper-t", "3")
+    assert code == EXIT_OK
+    assert out == example
+
+    cases = {
+        ("oracle", "paper-t", "3", "1/16", "--point-budget", "1000"): [
+            "n=3", "operator_spec=paper-t", "resolution=1/16", "point_budget=1000", "format=csv",
+        ],
+        ("search", "3", "--seed", "2", "--iterations", "4", "--budget", "1/2"): [
+            "n=3", "search_budget=1/2", "iterations=4", "seed=2", "format=csv",
+        ],
+        ("converge", "2", "4", "--lp-budget", "3"): [
+            "n_min=2", "n_max=4", "lp_dimension_budget=3", "format=csv",
+        ],
+    }
+    for argv, expected in cases.items():
+        _, out, _ = run_cli(capsys, *argv)
+        assert f"# command={argv[0]}\n" in out
+        echoed = [ln[len("# config."):] for ln in out.splitlines() if ln.startswith("# config.")]
+        assert echoed == expected
 
 
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):

@@ -10,9 +10,7 @@ import pytest
 from minmodlab.lpsolve import (
     LPStatus,
     Relation,
-    dump_lp,
     linear_program,
-    parse_lp,
     solve,
 )
 from support import lp_agrees_with_enumeration, random_boxed_lp
@@ -160,29 +158,3 @@ def test_agreement_with_vertex_enumeration():
     assert optimal > 100
     assert infeasible > 10
 
-
-def test_dump_parse_round_trip():
-    lp = linear_program(
-        ["1/2", -1, 0],
-        [
-            ([1, 1, 1], "<=", 2),
-            ([0, 1, -1], "=", "1/3"),
-        ],
-        bounds=[(0, 1), (None, 4), (None, None)],
-    )
-    again = parse_lp(dump_lp(lp))
-    assert again == lp
-    assert solve(again) == solve(lp)
-
-
-def test_parse_rejects_malformed_dumps():
-    with pytest.raises(ValueError):
-        parse_lp("")
-    with pytest.raises(ValueError):
-        parse_lp("lp x\nmin 1")
-    with pytest.raises(ValueError):
-        parse_lp("lp 1\nmax 1")
-    with pytest.raises(ValueError):
-        parse_lp("lp 2\nmin 1 1\nrow 1 <= 0")
-    with pytest.raises(ValueError):
-        parse_lp("lp 1\nmin 1\nbnd 0")
