@@ -252,7 +252,7 @@ def _cmd_paper_check(args):
 
 def _cmd_minmod(args):
     operator = build_operator(args.operator_spec, args.n)
-    result = min_modulus_sup(operator, check_mirror=args.mirror_check)
+    result = min_modulus_sup(operator, check_mirror=args.mirror_check, every_facet=True)
     header = (
         ("value", format_rational(result.value)),
         ("witness", " ".join(result.witness.serialize())),

@@ -120,6 +120,8 @@ def convergence_study(
         raise ValueError("the study starts at dimension 2 (dimension 1 has no tail)")
     if n_max < n_min:
         raise ValueError("empty study range")
+    if config.lp_dimension_budget < 1:
+        raise ValueError("the LP dimension budget must be at least 1")
     limit = min(n_max, config.lp_dimension_budget)
     rows = []
     previous_gap: Optional[Rational] = None

@@ -6,8 +6,10 @@ linear program
 
     minimize t   subject to   -t <= (Tx)_i <= t,  |x_j| <= 1,  x_k = sigma,
 
-so N programs (sigma = +1 only; T(-x) = -Tx makes mirror facets equal)
-give the exact global minimum together with an attaining witness.
+so at most N programs (sigma = +1 only; T(-x) = -Tx makes mirror facets
+equal) give the exact global minimum together with an attaining witness.
+A facet is skipped without an LP once its exact row bound (``_box_bound``
+on the whole facet box) already meets the best value found so far.
 
 ``brute_force_min`` is the independent check: a certified branch-and-bound
 over the same facets that never touches the LP route.  It bounds each box
@@ -42,13 +44,17 @@ class MinModResult:
 
     ``facet`` is the (1-based coordinate, sign) pair of the facet the
     witness lives on; ``facet_values`` lists every facet's own minimum
-    (sign +1 representative), so ties and near-ties stay visible.
+    (sign +1 representative), so ties and near-ties stay visible.  For a
+    facet listed in ``pruned`` (1-based coordinates) the entry is instead
+    the exact row bound that ruled it out: a lower bound on that facet's
+    minimum and at least ``value``, so ``value == min(facet_values)``.
     """
 
     value: Rational
     witness: Vector
     facet: tuple[int, int]
     facet_values: tuple[Rational, ...]
+    pruned: tuple[int, ...]
 
 
 def _facet_minimum(entries, k: int, sigma: int) -> tuple[Rational, Vector]:
@@ -72,26 +78,48 @@ def _facet_minimum(entries, k: int, sigma: int) -> tuple[Rational, Vector]:
     return result.value, Vector(result.point[:n])
 
 
-def min_modulus_sup(T: Operator, *, check_mirror: bool = False) -> MinModResult:
+def min_modulus_sup(
+    T: Operator, *, check_mirror: bool = False, every_facet: bool = False
+) -> MinModResult:
     """Exact m(T) = min over the unit sphere of sup_norm(T x).
 
-    One LP per facet (sign +1); ties between facets resolve to the lowest
-    coordinate index, so results are deterministic.  ``check_mirror``
-    additionally solves every sign -1 facet and verifies it agrees, which
-    is the oddness symmetry the reduction relies on.
+    At most one LP per facet (sign +1), in coordinate order; ties between
+    facets resolve to the lowest coordinate index, so results are
+    deterministic.  ``check_mirror`` additionally solves the sign -1 facet
+    of every solved facet and verifies it agrees, which is the oddness
+    symmetry the reduction relies on.
+
+    Facet k is pruned, with no LP, when its row bound
+    L_k = max_i (|T_ik| - sum_{j != k} |T_ij|)^+ already meets the best
+    value: for x on the facet, |(Tx)_i| >= |T_ik| - sum_{j != k} |T_ij|,
+    so the facet cannot go below L_k.  A pruned facet comes after the best
+    one and cannot beat it strictly, so value, witness and facet are those
+    of the exhaustive sweep.  L_k ignores the sign of x_k, so a pruned
+    facet's mirror is skipped too.  ``every_facet`` disables pruning, for
+    callers that report each facet's exact minimum.
     """
     dense = materialize(T)
     n = dense.dim
     entries = dense.entries
     if all(not e for row in entries for e in row):
         # the zero operator: every sphere point attains 0
-        return MinModResult(_ZERO, basis_vector(1, n), (1, 1), (_ZERO,) * n)
+        return MinModResult(_ZERO, basis_vector(1, n), (1, 1), (_ZERO,) * n, ())
 
     facet_values = []
+    pruned = []
     best_value = None
     best_k = 0
     best_witness = None
     for k in range(1, n + 1):
+        if best_value is not None and not every_facet:
+            lo = [-_ONE] * n
+            hi = [_ONE] * n
+            lo[k - 1] = _ONE  # the whole facet x_k = +1
+            bound = _box_bound(entries, lo, hi)[0]
+            if bound >= best_value:
+                facet_values.append(bound)
+                pruned.append(k)
+                continue
         value, witness = _facet_minimum(entries, k, 1)
         if check_mirror:
             mirror_value, _ = _facet_minimum(entries, k, -1)
@@ -107,7 +135,9 @@ def min_modulus_sup(T: Operator, *, check_mirror: bool = False) -> MinModResult:
 
     if sup_norm(best_witness) != _ONE or sup_norm(dense.apply(best_witness)) != best_value:
         raise RuntimeError("internal: facet witness failed re-verification")
-    return MinModResult(best_value, best_witness, (best_k, 1), tuple(facet_values))
+    return MinModResult(
+        best_value, best_witness, (best_k, 1), tuple(facet_values), tuple(pruned)
+    )
 
 
 @dataclass(frozen=True)
@@ -134,7 +164,9 @@ def _box_bound(entries, lo, hi):
 
     Row i takes values mid_i +/- w_i over the box (exact interval), so
     every point of the box satisfies sup|Tx| >= |mid_i| - w_i.  The steer
-    row maximizes that clearance and guides the split choice.
+    row maximizes that clearance and guides the split choice.  Both
+    engines use the bound: the oracle on its boxes, and the facet sweep
+    on whole facets to prune them.
     """
     n = len(lo)
     center = [(lo[j] + hi[j]) / 2 for j in range(n)]

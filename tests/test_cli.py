@@ -211,6 +211,11 @@ def test_converge_budget_exit(capsys):
     assert "# partial=true" in out
     assert "4,8/15" in out
     assert "budget" in err
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(capsys, "converge", "2", "3", "--lp-budget", budget)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: the LP dimension budget must be at least 1\n"
 
 
 def test_converge_bad_range(capsys):

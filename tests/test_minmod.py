@@ -69,6 +69,30 @@ def test_witness_invariants_on_random_operators(seed, n):
     assert 0 <= result.value <= op_norm_sup(op)
     k, sign = result.facet
     assert result.witness.coord(k) == sign
+    # pruning changes no reported answer, only bounds unsolved facets
+    exhaustive = min_modulus_sup(op, every_facet=True)
+    assert exhaustive.pruned == ()
+    assert (result.value, result.witness, result.facet) == (
+        exhaustive.value,
+        exhaustive.witness,
+        exhaustive.facet,
+    )
+    for k, (entry, exact) in enumerate(zip(result.facet_values, exhaustive.facet_values), 1):
+        if k in result.pruned:
+            assert result.value <= entry <= exact
+        else:
+            assert entry == exact
+
+
+def test_deflation_solves_only_the_first_facet():
+    # rows 2..N of I - e1 (x) f are e_k, so every facet but the first has bound 1 > m_N
+    for n in range(2, 11):
+        result = min_modulus_sup(deflation_operator(n))
+        assert result.pruned == tuple(range(2, n + 1))
+        assert result.value == closed_form_min_modulus(n)
+    assert min_modulus_sup(deflation_operator(4), check_mirror=True) == min_modulus_sup(
+        deflation_operator(4)
+    )
 
 
 @settings(max_examples=25, deadline=None)
