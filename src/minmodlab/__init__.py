@@ -40,8 +40,6 @@ from .linops import (
 from .lpsolve import (
     LinearProgram,
     LPResult,
-    LPStatus,
-    Relation,
     linear_program,
     solve,
 )

@@ -4,7 +4,8 @@ Subcommands expose the lab's experiments; reports go to stdout or --out.
 Exit codes are a stable contract:
 
     0  success
-    1  check failure (a verified exact relation did not hold)
+    1  check failure (a verified exact relation did not hold, or an
+       internal invariant or witness re-verification failed)
     2  usage error (unknown spec, malformed arguments)
     3  budget exceeded (oracle or study ran out of its configured budget)
     4  I/O error (unreadable matrix file, unwritable output)
@@ -47,6 +48,7 @@ from .exactnum import (
 from .harness import (
     DEFAULT_CONFIG,
     HarnessConfig,
+    InvariantViolation,
     Report,
     WeakNullStatus,
     convergence_study,
@@ -451,6 +453,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (InvariantViolation, RuntimeError) as exc:
+        # a broken internal invariant or a failed witness re-verification
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except MatrixFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .exactnum import Rational, RationalInput, Vector, as_rational, basis_vector, sup_norm
 from .linops import Operator, add, materialize, op_norm_sup
-from .lpsolve import LPStatus, linear_program, solve
+from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,24 +57,28 @@ class MinModResult:
     pruned: tuple[int, ...]
 
 
-def _facet_minimum(entries, k: int, sigma: int) -> tuple[Rational, Vector]:
-    """Exact facet optimum via one LP; variables are (x_1..x_N, t)."""
+def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> tuple[Rational, Vector]:
+    """Exact facet optimum via one LP started at a feasible corner.
+
+    The variables are (x_1..x_N, s) with s = -t in [-U, 0], where
+    U = ``norm`` = op_norm_sup(T).  For each row i the program has
+    (Tx)_i + s <= 0 and -(Tx)_i + s <= 0, that is |(Tx)_i| <= t, and it
+    minimizes -s, so the optimum is t itself.  U bounds every facet value,
+    so the box on s loses no optimum.  The corner x_j = -1 (j != k),
+    x_k = sigma, s = -U satisfies every row, because
+    |(Tx)_i| <= sum_j |T_ij| <= U; the simplex starts there, with no
+    phase 1.  The witness is the optimal vertex the simplex reaches from
+    that corner, one of several when the facet optimum is not unique.
+    """
     n = len(entries)
-    objective = [_ZERO] * n + [_ONE]
+    objective = [_ZERO] * n + [-_ONE]
     constraints = []
     for row in entries:
-        constraints.append((list(row) + [-_ONE], "<=", _ZERO))  # (Tx)_i <= t
-        constraints.append((list(row) + [_ONE], ">=", _ZERO))  # (Tx)_i >= -t
-    bounds = []
-    for j in range(1, n + 1):
-        if j == k:
-            bounds.append((Fraction(sigma), Fraction(sigma)))
-        else:
-            bounds.append((-_ONE, _ONE))
-    bounds.append((_ZERO, None))
+        constraints.append((list(row) + [_ONE], _ZERO))  # (Tx)_i <= t
+        constraints.append(([-e for e in row] + [_ONE], _ZERO))  # -(Tx)_i <= t
+    bounds = [(-_ONE, _ONE)] * n + [(-norm, _ZERO)]
+    bounds[k - 1] = (Fraction(sigma), Fraction(sigma))
     result = solve(linear_program(objective, constraints, bounds))
-    if result.status is not LPStatus.OPTIMAL:  # facets are compact boxes
-        raise RuntimeError(f"internal: facet program came back {result.status.value}")
     return result.value, Vector(result.point[:n])
 
 
@@ -105,6 +109,7 @@ def min_modulus_sup(
         # the zero operator: every sphere point attains 0
         return MinModResult(_ZERO, basis_vector(1, n), (1, 1), (_ZERO,) * n, ())
 
+    norm = op_norm_sup(dense)
     facet_values = []
     pruned = []
     best_value = None
@@ -120,9 +125,9 @@ def min_modulus_sup(
                 facet_values.append(bound)
                 pruned.append(k)
                 continue
-        value, witness = _facet_minimum(entries, k, 1)
+        value, witness = _facet_minimum(entries, k, 1, norm)
         if check_mirror:
-            mirror_value, _ = _facet_minimum(entries, k, -1)
+            mirror_value, _ = _facet_minimum(entries, k, -1, norm)
             if mirror_value != value:
                 raise RuntimeError(
                     f"internal: facet {k} mirror asymmetry ({value} vs {mirror_value})"

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import minmodlab.harness
+import minmodlab.minmod
 from minmodlab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -141,6 +144,29 @@ def test_dimension_budget_is_checked_before_building(capsys):
         assert code == EXIT_BUDGET
         assert out == ""
         assert err.startswith("error:") and "budget 64" in err and err.count("\n") == 1
+
+
+def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(minmodlab.harness, "closed_form_min_modulus", lambda n: Fraction(0))
+        code, out, err = run_cli(capsys, "converge", "2", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err.startswith("error: m at N=2") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+    facet_minimum = minmodlab.minmod._facet_minimum
+
+    def halved_witness(*args):
+        value, witness = facet_minimum(*args)
+        return value, Fraction(1, 2) * witness
+
+    with monkeypatch.context() as patch:
+        patch.setattr(minmodlab.minmod, "_facet_minimum", halved_witness)
+        code, out, err = run_cli(capsys, "minmod", "paper-t", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: facet witness failed re-verification\n"
 
 
 # --- matrix files --------------------------------------------------------------

@@ -82,6 +82,8 @@ def test_witness_invariants_on_random_operators(seed, n):
             assert result.value <= entry <= exact
         else:
             assert entry == exact
+    # every solved facet's mirror starts at a corner with x_k = -1
+    assert min_modulus_sup(op, check_mirror=True) == result
 
 
 def test_deflation_solves_only_the_first_facet():
