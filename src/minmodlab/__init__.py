@@ -68,9 +68,7 @@ from .constructions import (
     shifted_geometric_functional,
 )
 from .harness import (
-    DEFAULT_CONFIG,
     ConvergenceReport,
-    HarnessConfig,
     InvariantViolation,
     Report,
     SearchOutcome,
@@ -78,7 +76,6 @@ from .harness import (
     WeakNullVerdict,
     convergence_study,
     emit_report,
-    non_attainment_profile,
     rank_one_search,
     weak_null_test,
 )

@@ -46,8 +46,8 @@ from .exactnum import (
     sup_norm,
 )
 from .harness import (
-    DEFAULT_CONFIG,
-    HarnessConfig,
+    LP_DIMENSION_BUDGET,
+    SEARCH_ITERATIONS,
     InvariantViolation,
     Report,
     WeakNullStatus,
@@ -57,7 +57,7 @@ from .harness import (
     weak_null_test,
 )
 from .linops import Dense, Operator, RankOne, add, diagonal, identity, materialize
-from .minmod import BudgetExceededError, brute_force_min, min_modulus_sup, perturbation_gain
+from .minmod import ORACLE_POINT_BUDGET, BudgetExceededError, brute_force_min, min_modulus_sup, perturbation_gain
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -272,7 +272,7 @@ def _cmd_minmod(args):
 
 def _cmd_converge(args):
     budget = args.lp_dimension_budget
-    study = convergence_study(args.n_min, args.n_max, config=HarnessConfig(lp_dimension_budget=budget))
+    study = convergence_study(args.n_min, args.n_max, lp_dimension_budget=budget)
     if not study.partial:
         return study, EXIT_OK, None
     note = f"converge: stopped at the LP dimension budget {budget} (requested up to {args.n_max})"
@@ -351,10 +351,8 @@ def _run(args) -> int:
     """Check the dimension budget, run the handler, emit its report, then print its note."""
     # paper-check builds every section up to n_max; converge stops at its own --lp-budget instead
     dimension = args.n_max if args.command == "paper-check" else getattr(args, "n", None)
-    if dimension is not None and dimension > DEFAULT_CONFIG.lp_dimension_budget:
-        raise BudgetExceededError(
-            f"dimension {dimension} exceeds the LP dimension budget {DEFAULT_CONFIG.lp_dimension_budget}"
-        )
+    if dimension is not None and dimension > LP_DIMENSION_BUDGET:
+        raise BudgetExceededError(f"dimension {dimension} exceeds the LP dimension budget {LP_DIMENSION_BUDGET}")
     source, code, note = args.handler(args)
     header = [("command", args.command)]
     for key in _ECHOED:
@@ -393,7 +391,7 @@ _COMMANDS = (
         ("n_max", dict(type=int)),
         ("--lp-budget", dict(
             type=int,
-            default=DEFAULT_CONFIG.lp_dimension_budget,
+            default=LP_DIMENSION_BUDGET,
             dest="lp_dimension_budget",
             metavar="LP_BUDGET",
         )),
@@ -402,7 +400,7 @@ _COMMANDS = (
         ("operator_spec", dict(metavar="spec")),
         ("n", dict(type=int)),
         ("resolution", dict(metavar="h", help="resolution as an exact rational, e.g. 1/200")),
-        ("--point-budget", dict(type=int, default=DEFAULT_CONFIG.oracle_point_budget)),
+        ("--point-budget", dict(type=int, default=ORACLE_POINT_BUDGET)),
     )),
     ("perturb", "m(T), m(T+K), gain for the named construction", _cmd_perturb, (
         ("n", dict(type=int)),
@@ -415,7 +413,7 @@ _COMMANDS = (
             metavar="BUDGET",
             help="norm cap for the perturbation (exact rational)",
         )),
-        ("--iterations", dict(type=int, default=DEFAULT_CONFIG.search_iterations)),
+        ("--iterations", dict(type=int, default=SEARCH_ITERATIONS)),
         ("--seed", dict(type=int, required=True)),
     )),
 )
@@ -439,6 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception type -> exit code, first match wins: BudgetExceededError is a RuntimeError,
+# and MatrixFormatError and UsageError are ValueErrors.
+_ERROR_EXITS = (
+    (BudgetExceededError, EXIT_BUDGET),
+    (InvariantViolation, EXIT_CHECK_FAILED),  # a broken internal invariant
+    (RuntimeError, EXIT_CHECK_FAILED),  # a failed witness re-verification
+    (MatrixFormatError, EXIT_IO),
+    (ValueError, EXIT_USAGE),  # also the library's parameter validation (bad ranges, resolutions)
+    (OSError, EXIT_IO),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -447,26 +457,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except UsageError as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InvariantViolation, RuntimeError) as exc:
-        # a broken internal invariant or a failed witness re-verification
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # parameter validation raised by the library (bad ranges, resolutions)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 def console_main() -> None:

@@ -64,40 +64,56 @@ def parse_rational(text: str) -> Rational:
     return Fraction(text.strip())
 
 
-def _coerce_coords(values: Iterable[RationalInput], kind: str) -> tuple[Rational, ...]:
-    coords = tuple(as_rational(v) for v in values)
-    if not coords:
-        raise ValueError(f"a {kind} needs at least one coordinate")
-    return coords
+class _Entries:
+    """A nonempty tuple of exact rationals in the field ``_field``, read 1-based.
+
+    Subclasses are frozen dataclasses over that one field; their generated
+    equality compares classes first, so a Vector never equals a Covector.
+    """
+
+    _field: str  # "coords" or "coeffs"
+    _noun: str  # "coordinate" or "coefficient"
+
+    def __init__(self, values: Iterable[RationalInput]) -> None:
+        entries = tuple(as_rational(v) for v in values)
+        if not entries:
+            raise ValueError(f"a {type(self).__name__.lower()} needs at least one coordinate")
+        object.__setattr__(self, self._field, entries)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._field))
+
+    def __iter__(self) -> Iterator[Rational]:
+        return iter(getattr(self, self._field))
+
+    def _index(self, j: int, n: int) -> int:
+        if not 1 <= j <= n:
+            raise IndexError(f"{self._noun} {j} outside 1..{n}")
+        return j - 1
+
+    def _entry(self, j: int) -> Rational:
+        entries = getattr(self, self._field)
+        return entries[self._index(j, len(entries))]
+
+    def _replace(self, j: int, value: RationalInput):
+        entries = list(getattr(self, self._field))
+        entries[self._index(j, len(entries))] = as_rational(value)
+        return type(self)(entries)
+
+    def serialize(self) -> list[str]:
+        return [format_rational(c) for c in getattr(self, self._field)]
 
 
-@dataclass(frozen=True)
-class Vector:
+@dataclass(frozen=True, init=False)
+class Vector(_Entries):
     """Immutable point of an N-section, N = len(coords)."""
 
     coords: tuple[Rational, ...]
+    _field = "coords"
+    _noun = "coordinate"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _coerce_coords(self.coords, "vector"))
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(self.coords)
-
-    def coord(self, j: int) -> Rational:
-        """1-based coordinate x_j."""
-        if not 1 <= j <= len(self.coords):
-            raise IndexError(f"coordinate {j} outside 1..{len(self.coords)}")
-        return self.coords[j - 1]
-
-    def replace_coord(self, j: int, value: RationalInput) -> "Vector":
-        if not 1 <= j <= len(self.coords):
-            raise IndexError(f"coordinate {j} outside 1..{len(self.coords)}")
-        coords = list(self.coords)
-        coords[j - 1] = as_rational(value)
-        return Vector(tuple(coords))
+    coord = _Entries._entry  # 1-based coordinate x_j
+    replace_coord = _Entries._replace
 
     def embed(self, n: int) -> "Vector":
         """Zero-pad into the n-section (n >= current length)."""
@@ -120,43 +136,20 @@ class Vector:
         c = as_rational(scalar)
         return Vector(tuple(c * a for a in self.coords))
 
-    def serialize(self) -> list[str]:
-        return [format_rational(c) for c in self.coords]
 
-
-@dataclass(frozen=True)
-class Covector:
+@dataclass(frozen=True, init=False)
+class Covector(_Entries):
     """Immutable functional on an N-section; acts by the exact dot product."""
 
     coeffs: tuple[Rational, ...]
+    _field = "coeffs"
+    _noun = "coefficient"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _coerce_coords(self.coeffs, "covector"))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(self.coeffs)
-
-    def coeff(self, j: int) -> Rational:
-        """1-based coefficient g_j."""
-        if not 1 <= j <= len(self.coeffs):
-            raise IndexError(f"coefficient {j} outside 1..{len(self.coeffs)}")
-        return self.coeffs[j - 1]
-
-    def replace_coeff(self, j: int, value: RationalInput) -> "Covector":
-        if not 1 <= j <= len(self.coeffs):
-            raise IndexError(f"coefficient {j} outside 1..{len(self.coeffs)}")
-        coeffs = list(self.coeffs)
-        coeffs[j - 1] = as_rational(value)
-        return Covector(tuple(coeffs))
+    coeff = _Entries._entry  # 1-based coefficient g_j
+    replace_coeff = _Entries._replace
 
     def __call__(self, x: Vector) -> Rational:
         return evaluate(self, x)
-
-    def serialize(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
 
 
 def _check_same_length(a, b) -> None:

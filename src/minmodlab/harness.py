@@ -1,11 +1,11 @@
 """Experiment harness: studies, diagnostics, search, and report emission.
 
-Four experiments over the exact core:
+Three experiments over the exact core:
 
 * ``convergence_study`` — per-section minimum moduli against the closed
-  form, with witness-tail statistics and the gap to the limit 1/2;
-* ``non_attainment_profile`` — the shape every exact minimizer is forced
-  into (first coordinate pinned at modulus 1, tail strictly inside);
+  form, with witness-tail statistics and the gap to the limit 1/2, and
+  the shape every exact minimizer is forced into (first coordinate
+  pinned at modulus 1, tail strictly inside (1/2, 1));
 * ``weak_null_test`` — coordinatewise verdict on a finite vector family:
   an exact not-weakly-null certificate when one exists, a conservative
   weakly-null heuristic otherwise;
@@ -50,21 +50,12 @@ _HALF = Fraction(1, 2)
 _SEARCH_INITIAL_STEP = Fraction(1, 2)
 _SEARCH_MIN_STEP = Fraction(1, 64)
 
+LP_DIMENSION_BUDGET = 64  # largest section the LP studies and the CLI attempt
+SEARCH_ITERATIONS = 200
+
 
 class InvariantViolation(AssertionError):
     """An exact relation the harness promises was observed to fail."""
-
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Knobs shared by the studies; defaults suit desk-scale sections."""
-
-    lp_dimension_budget: int = 64
-    oracle_point_budget: int = 500_000
-    search_iterations: int = 200
-
-
-DEFAULT_CONFIG = HarnessConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +97,26 @@ class ConvergenceReport:
 
 
 def convergence_study(
-    n_min: int, n_max: int, *, config: HarnessConfig = DEFAULT_CONFIG
+    n_min: int, n_max: int, *, lp_dimension_budget: int = LP_DIMENSION_BUDGET
 ) -> ConvergenceReport:
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
     Every row re-proves the exact relations (value equals the closed form,
-    0 < gap <= 2^-N, gaps strictly decrease); violations raise
-    :class:`InvariantViolation` rather than producing a quiet bad row.
-    Sections beyond ``config.lp_dimension_budget`` are not attempted: the
-    report comes back flagged partial with every completed row intact.
+    0 < gap <= 2^-N, gaps strictly decrease) and the non-attainment shape
+    of the witness: |x_1| = 1 while every tail modulus stays strictly
+    inside (1/2, 1), the tension that prevents a limiting minimizer from
+    existing.  Violations raise :class:`InvariantViolation` rather than
+    producing a quiet bad row.  Sections beyond ``lp_dimension_budget``
+    are not attempted: the report comes back flagged partial with every
+    completed row intact.
     """
     if n_min < 2:
         raise ValueError("the study starts at dimension 2 (dimension 1 has no tail)")
     if n_max < n_min:
         raise ValueError("empty study range")
-    if config.lp_dimension_budget < 1:
+    if lp_dimension_budget < 1:
         raise ValueError("the LP dimension budget must be at least 1")
-    limit = min(n_max, config.lp_dimension_budget)
+    limit = min(n_max, lp_dimension_budget)
     rows = []
     previous_gap: Optional[Rational] = None
     for n in range(n_min, limit + 1):
@@ -131,7 +125,13 @@ def convergence_study(
         expected = closed_form_min_modulus(n)
         if result.value != expected:
             raise InvariantViolation(f"m at N={n} is {result.value}, closed form {expected}")
+        first = abs(result.witness.coord(1))
+        if first != _ONE:
+            raise InvariantViolation(f"minimizer at N={n} has |x_1| = {first} != 1")
         tail = [abs(c) for c in result.witness.coords[1:]]
+        tail_min, tail_max = min(tail), max(tail)
+        if not (_HALF < tail_min and tail_max < _ONE):
+            raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
         gap = result.value - _HALF
         if gap <= 0 or gap > Fraction(1, 2**n):
             raise InvariantViolation(f"gap at N={n} out of range: {gap}")
@@ -143,80 +143,14 @@ def convergence_study(
                 n=n,
                 value=result.value,
                 closed_form=expected,
-                witness_min_tail=min(tail),
-                witness_max_tail=max(tail),
+                witness_min_tail=tail_min,
+                witness_max_tail=tail_max,
                 gap=gap,
             )
         )
     return ConvergenceReport(
         rows=tuple(rows), n_min=n_min, n_max=n_max, partial=limit < n_max
     )
-
-
-# ---------------------------------------------------------------------------
-# non-attainment profile
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    first_modulus: Rational
-    tail_min: Rational
-    tail_max: Rational
-    tail_clearance: Rational  # how far the tail sits above the limit 1/2
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    rows: tuple[ProfileRow, ...]
-
-    def to_report(self) -> "Report":
-        return Report(
-            kind="non-attainment-profile",
-            header=(),
-            columns=("N", "first_modulus", "tail_min", "tail_max", "tail_clearance"),
-            rows=tuple(
-                (r.n, r.first_modulus, r.tail_min, r.tail_max, r.tail_clearance)
-                for r in self.rows
-            ),
-        )
-
-
-def non_attainment_profile(
-    n_values: Iterable[int], *, config: HarnessConfig = DEFAULT_CONFIG
-) -> ProfileReport:
-    """Shape statistics of the exact minimizers across sections.
-
-    Any minimizer must pin its first coordinate at modulus 1 while the
-    tail stays strictly between 1/2 and 1 — the tension that prevents a
-    limiting minimizer from existing.  A witness outside that shape raises
-    :class:`InvariantViolation`.
-    """
-    rows = []
-    for n in n_values:
-        if n < 2:
-            raise ValueError("profiles need dimension >= 2")
-        if n > config.lp_dimension_budget:
-            raise ValueError(f"dimension {n} exceeds the LP budget {config.lp_dimension_budget}")
-        result = min_modulus_sup(c0_family(n).operator)
-        first = abs(result.witness.coord(1))
-        if first != _ONE:
-            raise InvariantViolation(f"minimizer at N={n} has |x_1| = {first} != 1")
-        tail = [abs(c) for c in result.witness.coords[1:]]
-        tail_min = min(tail)
-        tail_max = max(tail)
-        if not (_HALF < tail_min and tail_max < _ONE):
-            raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
-        rows.append(
-            ProfileRow(
-                n=n,
-                first_modulus=first,
-                tail_min=tail_min,
-                tail_max=tail_max,
-                tail_clearance=tail_min - _HALF,
-            )
-        )
-    return ProfileReport(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +316,7 @@ def rank_one_search(
     norm_budget: RationalInput,
     *,
     seed: int,
-    iterations: Optional[int] = None,
-    config: HarnessConfig = DEFAULT_CONFIG,
+    iterations: int = SEARCH_ITERATIONS,
 ) -> SearchOutcome:
     """Seeded coordinate ascent for a rank-one K with op_norm_sup(K) <= budget.
 
@@ -401,13 +334,12 @@ def rank_one_search(
     budget = as_rational(norm_budget)
     if budget < 0:
         raise ValueError("the norm budget must be nonnegative")
-    iters = config.search_iterations if iterations is None else iterations
-    if iters < 0:
+    if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n = T.dim
     base = min_modulus_sup(T).value
 
-    if budget == 0 or iters == 0:
+    if budget == 0 or iterations == 0:
         k0 = _zero_rank_one(n)
         return SearchOutcome(
             perturbation=k0,
@@ -456,7 +388,7 @@ def rank_one_search(
     stall = 0
     round_length = 2 * n
 
-    for it in range(iters):
+    for it in range(iterations):
         slot = it % round_length
         proposals = []
         if slot < n:
@@ -512,7 +444,7 @@ def rank_one_search(
         base_value=base,
         perturbed_value=recomputed,
         gain=recomputed - base,
-        iterations=iters,
+        iterations=iterations,
         seed=seed,
         evaluations=evaluations,
     )

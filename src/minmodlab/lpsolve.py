@@ -8,8 +8,8 @@ feasible start, so there is no phase 1 and no artificial variable, and a
 compact feasible region means the optimum always exists.
 
 Every tableau entry, bound, optimum, and witness coordinate is a
-``fractions.Fraction``; the reported value always equals the objective
-re-evaluated at the witness, and the witness is re-checked against every
+``fractions.Fraction``; the reported value is the objective evaluated at
+the witness, and the witness is re-checked against every bound and
 constraint before a result is returned.  Determinism is part of the
 contract: the same program yields the same result object, witness included.
 """
@@ -29,6 +29,7 @@ _ZERO = Fraction(0)
 class Constraint:
     coeffs: tuple[Rational, ...]
     rhs: Rational
+    corner_slack: Rational  # rhs - coeffs . lower >= 0, the row's slack at the start corner
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,10 @@ def linear_program(
         if len(crow) != n:
             raise ValueError(f"constraint has {len(crow)} coefficients, expected {n}")
         rhs_r = as_rational(rhs)
-        if _dot(crow, lower) > rhs_r:
+        slack = rhs_r - _dot(crow, lower)
+        if slack < 0:
             raise ValueError(f"row {i} is violated at the start corner x = lower")
-        rows.append(Constraint(crow, rhs_r))
+        rows.append(Constraint(crow, rhs_r, slack))
     return LinearProgram(obj, tuple(rows), tuple(lower), tuple(upper))
 
 
@@ -105,9 +107,9 @@ def _corner_simplex(lp: LinearProgram) -> tuple[Rational, ...]:
 
     The tableau is B^{-1} [A | I] over the columns (x_1..x_n, slack_1..slack_m).
     A row's slack rhs - coeffs . x >= 0 has no upper bound; the slacks
-    start basic at their corner values, which are >= 0 by the program's
-    contract.  The reduced costs start equal to the costs, because every
-    slack costs 0.
+    start basic at their corner values, which ``linear_program`` computed
+    and checked to be >= 0.  The reduced costs start equal to the costs,
+    because every slack costs 0.
     """
     n = lp.num_vars
     m = len(lp.constraints)
@@ -115,12 +117,11 @@ def _corner_simplex(lp: LinearProgram) -> tuple[Rational, ...]:
     up: list[Optional[Rational]] = list(lp.upper) + [None] * m
     at_upper = [False] * (n + m)  # where a nonbasic variable rests
     T = []
-    basic_val = []
     for i, con in enumerate(lp.constraints):
         unit = [_ZERO] * m
         unit[i] = Fraction(1)
         T.append(list(con.coeffs) + unit)
-        basic_val.append(con.rhs - _dot(con.coeffs, lp.lower))
+    basic_val = [con.corner_slack for con in lp.constraints]
     basis = list(range(n, n + m))
     in_basis = [False] * n + [True] * m
     d = list(lp.objective) + [_ZERO] * m
@@ -199,15 +200,13 @@ def _corner_simplex(lp: LinearProgram) -> tuple[Rational, ...]:
     )
 
 
-def _verify(lp: LinearProgram, point: tuple[Rational, ...], value: Rational) -> None:
+def _verify(lp: LinearProgram, point: tuple[Rational, ...]) -> None:
     for j, x in enumerate(point):
         if x < lp.lower[j] or x > lp.upper[j]:
             raise RuntimeError(f"internal: solution violates bound of variable {j + 1}")
     for i, con in enumerate(lp.constraints):
         if _dot(con.coeffs, point) > con.rhs:
             raise RuntimeError(f"internal: solution violates constraint {i + 1}")
-    if _dot(lp.objective, point) != value:
-        raise RuntimeError("internal: objective value does not match the witness")
 
 
 def solve(lp: LinearProgram) -> LPResult:
@@ -218,6 +217,5 @@ def solve(lp: LinearProgram) -> LPResult:
     against the program before returning.
     """
     point = _corner_simplex(lp)
-    value = _dot(lp.objective, point)
-    _verify(lp, point, value)
-    return LPResult(value, point)
+    _verify(lp, point)
+    return LPResult(_dot(lp.objective, point), point)

@@ -33,6 +33,8 @@ from .lpsolve import linear_program, solve
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+ORACLE_POINT_BUDGET = 500_000  # boxes the oracle may bound before giving up
+
 
 class BudgetExceededError(RuntimeError):
     """A configured budget (oracle box evaluations, LP dimension) ran out or would be exceeded."""
@@ -235,7 +237,7 @@ def _split_coordinate(entries, lo, hi, steer_row: int) -> int:
 
 
 def brute_force_min(
-    T: Operator, h: RationalInput, *, point_budget: int = 500_000
+    T: Operator, h: RationalInput, *, point_budget: int = ORACLE_POINT_BUDGET
 ) -> OracleResult:
     """Certified sampling bracket for m(T), independent of the LP route.
 

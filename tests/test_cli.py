@@ -9,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import minmodlab.harness
 import minmodlab.minmod
@@ -385,6 +387,80 @@ def test_argparse_usage_errors(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, "--help")[0] == EXIT_OK
+
+
+# --- the whole argument grammar ----------------------------------------------------
+# Small sizes keep each invocation cheap: dimensions up to 5 (plus 65, which the
+# LP dimension budget rejects before any work), h >= 1/8, few oracle boxes and
+# search iterations, converge sections up to 6.
+
+_DIMENSIONS = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 5, 65])
+_TOKENS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),  # includes p/0
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["", "-", "1.5", "x", "1/-2", "0x1"]),
+)
+_RESOLUTIONS = st.one_of(
+    st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 8)),  # parses to h >= 1/8
+    st.sampled_from(["0", "-1/4", "1/0", "h", ""]),
+)
+_SPECS = st.one_of(
+    st.sampled_from(["paper-t", "paper-k", "identity", "direct-sum", "nope", "absent.mat"]),
+    st.just("matrix-file"),  # its own branch, so a third of the specs are file bodies
+    st.lists(_TOKENS, max_size=6).map(lambda tokens: "diagonal:" + ",".join(tokens)),
+)
+_MATRIX_BODIES = st.one_of(
+    st.builds(
+        lambda dim, rows: "\n".join([dim] + [" ".join(row) for row in rows]).encode(),
+        st.sampled_from(["1", "2", "3", "0", "-1", "x", ""]),
+        st.lists(st.lists(_TOKENS, max_size=4), max_size=4),
+    ),
+    st.just(b"\xff\xfe\x00"),
+)
+
+
+def _draw_argv(draw, tmp_path):
+    def spec():
+        name = draw(_SPECS)
+        if name == "matrix-file":
+            path = tmp_path / "operator.mat"
+            path.write_bytes(draw(_MATRIX_BODIES))
+            return str(path)
+        return str(tmp_path / name) if name.endswith(".mat") else name
+
+    def n():
+        return str(draw(_DIMENSIONS))
+
+    def optional(*argv):
+        return list(argv) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["paper-check", "minmod", "converge", "oracle", "perturb", "search"]))
+    if command == "paper-check":
+        argv = ["--n-max", n()] + optional("--inject-fault", draw(st.sampled_from(["corrupt-f", "bogus"])))
+    elif command == "minmod":
+        argv = [spec(), n()] + optional("--mirror-check")
+    elif command == "converge":
+        argv = [str(draw(st.integers(-2, 6))), str(draw(st.integers(-2, 6)))]
+        argv += optional("--lp-budget", str(draw(st.integers(-1, 6))))
+    elif command == "oracle":
+        argv = [spec(), n(), draw(_RESOLUTIONS), "--point-budget", str(draw(st.integers(-1, 2000)))]
+    elif command == "perturb":
+        argv = [n()]
+    else:
+        argv = [n(), "--seed", str(draw(st.integers(0, 9))), "--iterations", str(draw(st.integers(-1, 6)))]
+        argv += optional("--budget", draw(_TOKENS))
+    argv += optional("--format", "json") + optional("--approx")
+    argv += optional("--out", str(tmp_path / draw(st.sampled_from(["report.csv", "missing/report.csv"]))))
+    return [command] + argv
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_invocation_exits_in_the_contract(tmp_path, capsys, data):
+    argv = _draw_argv(data.draw, tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET, EXIT_IO), argv
+    assert "Traceback" not in err, argv
 
 
 def test_module_entry_point_runs():

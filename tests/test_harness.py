@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+import minmodlab.harness
 from minmodlab.constructions import (
     c0_family,
     deflation_operator,
@@ -14,12 +16,11 @@ from minmodlab.constructions import (
 )
 from minmodlab.exactnum import basis_vector, vector
 from minmodlab.harness import (
-    HarnessConfig,
+    InvariantViolation,
     Report,
     WeakNullStatus,
     convergence_study,
     emit_report,
-    non_attainment_profile,
     rank_one_search,
     weak_null_test,
 )
@@ -44,15 +45,31 @@ def test_convergence_frozen_rows():
     }
     gaps = {r.n: r.gap for r in report.rows}
     assert gaps[5] == Fraction(1, 62)
+    assert report.rows[1].witness_min_tail == Fraction(4, 7)
     for r in report.rows:
         assert r.value == r.closed_form
         assert r.gap == r.value - Fraction(1, 2)
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
 
 
+def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
+    # the value is right, but |x_1| != 1 or a tail modulus leaves (1/2, 1)
+    true_result = min_modulus_sup(c0_family(3).operator)
+    bent = [
+        (1, Fraction(3, 4), r"\|x_1\| = 3/4"),
+        (2, Fraction(1, 2), r"escapes \(1/2, 1\)"),
+        (3, Fraction(-1), r"escapes \(1/2, 1\)"),
+    ]
+    for j, value, message in bent:
+        witness = true_result.witness.replace_coord(j, value)
+        fake = dataclasses.replace(true_result, witness=witness)
+        monkeypatch.setattr(minmodlab.harness, "min_modulus_sup", lambda op, fake=fake: fake)
+        with pytest.raises(InvariantViolation, match=message):
+            convergence_study(3, 3)
+
+
 def test_convergence_respects_the_dimension_budget():
-    tight = HarnessConfig(lp_dimension_budget=4)
-    report = convergence_study(2, 9, config=tight)
+    report = convergence_study(2, 9, lp_dimension_budget=4)
     assert report.partial
     assert [r.n for r in report.rows] == [2, 3, 4]
     assert report.n_max == 9
@@ -63,27 +80,6 @@ def test_convergence_range_validation():
         convergence_study(1, 5)
     with pytest.raises(ValueError):
         convergence_study(4, 3)
-
-
-# --- non-attainment profile --------------------------------------------------
-
-
-def test_profile_shape():
-    report = non_attainment_profile([2, 3, 5])
-    assert [r.n for r in report.rows] == [2, 3, 5]
-    for r in report.rows:
-        assert r.first_modulus == 1
-        assert Fraction(1, 2) < r.tail_min <= r.tail_max < 1
-        assert r.tail_clearance == r.tail_min - Fraction(1, 2)
-    by_n = {r.n: r for r in report.rows}
-    assert by_n[3].tail_clearance == Fraction(1, 14)
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        non_attainment_profile([1])
-    with pytest.raises(ValueError):
-        non_attainment_profile([70])
 
 
 # --- weak-null diagnostics ---------------------------------------------------
@@ -237,8 +233,8 @@ def test_json_emission_schema():
 
 
 def test_emission_to_a_path(tmp_path):
-    report = non_attainment_profile([2, 3])
-    out = tmp_path / "profile.csv"
+    report = convergence_study(2, 3)
+    out = tmp_path / "convergence.csv"
     text = emit_report(report, destination=out)
     assert out.read_text(encoding="utf-8") == text
 
