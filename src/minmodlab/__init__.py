@@ -2,10 +2,10 @@
 operators on finite sections of sup-norm sequence spaces.
 
 Everything is rational arithmetic end to end: minimum moduli come from
-facet linear programs with exact witnesses, an independent certified
-oracle brackets them, and the harness studies how the finite sections
-shadow the infinite-dimensional picture (descending moduli, escaping
-minimizers, a rank-one repair that lifts the minimum).
+the exact inverse with attaining witnesses, per-facet linear programs and
+an independent certified oracle check them, and the harness studies how
+the finite sections shadow the infinite-dimensional picture (descending
+moduli, escaping minimizers, a rank-one repair that lifts the minimum).
 """
 
 from .exactnum import (
@@ -49,6 +49,7 @@ from .minmod import (
     OracleResult,
     PerturbationGain,
     brute_force_min,
+    facet_minima,
     min_modulus_sup,
     perturbation_gain,
 )

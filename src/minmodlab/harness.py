@@ -324,7 +324,7 @@ def rank_one_search(
     with the l1 norm of g capped at the budget, so the norm constraint holds
     by construction at every step.  Proposals move one coordinate by the
     current step (round-robin over u then g, +step before -step), scored by
-    the exact facet-LP minimum modulus of T + K; the step halves after a
+    the exact minimum modulus m(T + K); the step halves after a
     full stalled round and a fresh random restart replaces it when it
     underflows.  When no visited K beats K = 0, the zero perturbation is
     returned, so the gain is never negative.  Identical seeds give identical
@@ -389,23 +389,14 @@ def rank_one_search(
     round_length = 2 * n
 
     for it in range(iterations):
-        slot = it % round_length
+        slot = it % round_length  # u_1..u_n, then g_1..g_n
         proposals = []
-        if slot < n:
-            for sgn in (1, -1):
-                moved = list(u)
-                moved[slot] += sgn * step
-                state = normalized(tuple(moved), g)
-                if state is not None:
-                    proposals.append(state)
-        else:
-            jj = slot - n
-            for sgn in (1, -1):
-                moved = list(g)
-                moved[jj] += sgn * step
-                state = normalized(u, tuple(moved))
-                if state is not None:
-                    proposals.append(state)
+        for sgn in (1, -1):
+            moved = list(u + g)
+            moved[slot] += sgn * step
+            state = normalized(tuple(moved[:n]), tuple(moved[n:]))
+            if state is not None:
+                proposals.append(state)
 
         chosen = None
         chosen_score = current

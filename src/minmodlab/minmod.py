@@ -1,22 +1,24 @@
 """Exact minimum modulus over the sup-norm unit sphere of an N-section.
 
-The sphere is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}
-(k = 1..N, sigma = +/-1).  On one facet, minimizing sup_i |(Tx)_i| is the
-linear program
+``min_modulus_sup`` reads m(T) off the inverse: for invertible T with
+S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
+the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
+a kernel vector as witness.  One Gauss-Jordan elimination decides both.
+
+``facet_minima`` is the facet view, for per-facet reports.  The sphere
+is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
+facet, minimizing sup_i |(Tx)_i| is the linear program
 
     minimize t   subject to   -t <= (Tx)_i <= t,  |x_j| <= 1,  x_k = sigma,
 
-so at most N programs (sigma = +1 only; T(-x) = -Tx makes mirror facets
-equal) give the exact global minimum together with an attaining witness.
-A facet is skipped without an LP once its exact row bound (``_box_bound``
-on the whole facet box) already meets the best value found so far.
+and the N facets with sigma = +1 suffice, since T(-x) = -Tx.
 
 ``brute_force_min`` is the independent check: a certified branch-and-bound
-over the same facets that never touches the LP route.  It bounds each box
-through exact interval arithmetic on the rows of T and refines until boxes
-are thinner than the requested resolution h, returning a bracket
-lower <= m(T) <= upper with upper an evaluated sphere point and
-upper - lower <= op_norm_sup(T) * h/2.
+over the same facets that touches neither the inverse nor the LP.  It
+bounds each box through exact interval arithmetic on the rows of T and
+refines until boxes are thinner than the requested resolution h,
+returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
+point and upper - lower <= op_norm_sup(T) * h/2.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import Rational, RationalInput, Vector, as_rational, basis_vector, sup_norm
-from .linops import Operator, add, materialize, op_norm_sup
+from .exactnum import Rational, RationalInput, Vector, as_rational, sup_norm
+from .linops import Dense, Operator, add, materialize, op_norm_sup, op_norm_witness
 from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
@@ -45,22 +47,64 @@ class MinModResult:
     """Exact minimum modulus with an attaining sphere point.
 
     ``facet`` is the (1-based coordinate, sign) pair of the facet the
-    witness lives on; ``facet_values`` lists every facet's own minimum
-    (sign +1 representative), so ties and near-ties stay visible.  For a
-    facet listed in ``pruned`` (1-based coordinates) the entry is instead
-    the exact row bound that ruled it out: a lower bound on that facet's
-    minimum and at least ``value``, so ``value == min(facet_values)``.
+    witness lives on: its first coordinate of modulus 1, which is +1.
     """
 
     value: Rational
     witness: Vector
     facet: tuple[int, int]
-    facet_values: tuple[Rational, ...]
-    pruned: tuple[int, ...]
 
 
-def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> tuple[Rational, Vector]:
-    """Exact facet optimum via one LP started at a feasible corner.
+def _invert(entries) -> Dense | Vector:
+    """T^-1, or a nonzero kernel vector of T when T is singular.
+
+    Gauss-Jordan on [T | I], pivoting on the first nonzero entry of each
+    column at or below the diagonal.  When column c has no pivot, columns
+    before it are reduced to unit vectors, so x_c = 1, x_r = -a[r][c]
+    (r < c) and zeros after c solve Tx = 0.
+    """
+    n = len(entries)
+    a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(entries)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return Vector(tuple(-a[r][c] for r in range(c)) + (_ONE,) + (_ZERO,) * (n - c - 1))
+        a[c], a[pivot] = a[pivot], a[c]
+        p = a[c][c]
+        a[c] = [e / p for e in a[c]]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and f:
+                a[r] = [e - f * q for e, q in zip(a[r], a[c])]
+    return Dense(tuple(tuple(row[n:]) for row in a))
+
+
+def min_modulus_sup(T: Operator) -> MinModResult:
+    """Exact m(T) = min over the unit sphere of sup_norm(T x).
+
+    For invertible T, (||S||, y) = op_norm_witness(S) with S = T^-1 gives
+    the value 1/||S|| and the witness Sy/||S||, whose entry at the first
+    maximal row i* of S is 1.  Facet k attains m(T) exactly when row k of
+    S is maximal, so i* is the lowest attaining facet.  A singular T gets
+    value 0 and the kernel vector of ``_invert``, scaled so that its first
+    entry of largest modulus is +1.  The witness is re-verified against T.
+    """
+    dense = materialize(T)
+    inverse = _invert(dense.entries)
+    if isinstance(inverse, Vector):  # a kernel vector: T is singular
+        value = _ZERO
+        witness = (1 / max(inverse.coords, key=abs)) * inverse
+    else:
+        norm, y = op_norm_witness(inverse)
+        value = 1 / norm
+        witness = value * inverse.apply(y)
+    if sup_norm(witness) != _ONE or sup_norm(dense.apply(witness)) != value:
+        raise RuntimeError("internal: minimum-modulus witness failed re-verification")
+    return MinModResult(value, witness, (witness.coords.index(_ONE) + 1, 1))
+
+
+def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> Rational:
+    """Exact minimum over the facet x_k = sigma, via one LP started at a feasible corner.
 
     The variables are (x_1..x_N, s) with s = -t in [-U, 0], where
     U = ``norm`` = op_norm_sup(T).  For each row i the program has
@@ -69,8 +113,7 @@ def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> tuple[Rationa
     so the box on s loses no optimum.  The corner x_j = -1 (j != k),
     x_k = sigma, s = -U satisfies every row, because
     |(Tx)_i| <= sum_j |T_ij| <= U; the simplex starts there, with no
-    phase 1.  The witness is the optimal vertex the simplex reaches from
-    that corner, one of several when the facet optimum is not unique.
+    phase 1.
     """
     n = len(entries)
     objective = [_ZERO] * n + [-_ONE]
@@ -80,71 +123,30 @@ def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> tuple[Rationa
         constraints.append(([-e for e in row] + [_ONE], _ZERO))  # -(Tx)_i <= t
     bounds = [(-_ONE, _ONE)] * n + [(-norm, _ZERO)]
     bounds[k - 1] = (Fraction(sigma), Fraction(sigma))
-    result = solve(linear_program(objective, constraints, bounds))
-    return result.value, Vector(result.point[:n])
+    return solve(linear_program(objective, constraints, bounds)).value
 
 
-def min_modulus_sup(
-    T: Operator, *, check_mirror: bool = False, every_facet: bool = False
-) -> MinModResult:
-    """Exact m(T) = min over the unit sphere of sup_norm(T x).
+def facet_minima(T: Operator, *, check_mirror: bool = False) -> tuple[Rational, ...]:
+    """Each facet's exact minimum (sign +1 representative), by one LP per facet.
 
-    At most one LP per facet (sign +1), in coordinate order; ties between
-    facets resolve to the lowest coordinate index, so results are
-    deterministic.  ``check_mirror`` additionally solves the sign -1 facet
-    of every solved facet and verifies it agrees, which is the oddness
-    symmetry the reduction relies on.
-
-    Facet k is pruned, with no LP, when its row bound
-    L_k = max_i (|T_ik| - sum_{j != k} |T_ij|)^+ already meets the best
-    value: for x on the facet, |(Tx)_i| >= |T_ik| - sum_{j != k} |T_ij|,
-    so the facet cannot go below L_k.  A pruned facet comes after the best
-    one and cannot beat it strictly, so value, witness and facet are those
-    of the exhaustive sweep.  L_k ignores the sign of x_k, so a pruned
-    facet's mirror is skipped too.  ``every_facet`` disables pruning, for
-    callers that report each facet's exact minimum.
+    The least entry is m(T).  ``check_mirror`` also solves every sign -1
+    facet and verifies it agrees, which is the oddness symmetry the
+    reduction to N programs relies on.
     """
     dense = materialize(T)
-    n = dense.dim
     entries = dense.entries
-    if all(not e for row in entries for e in row):
-        # the zero operator: every sphere point attains 0
-        return MinModResult(_ZERO, basis_vector(1, n), (1, 1), (_ZERO,) * n, ())
-
     norm = op_norm_sup(dense)
-    facet_values = []
-    pruned = []
-    best_value = None
-    best_k = 0
-    best_witness = None
-    for k in range(1, n + 1):
-        if best_value is not None and not every_facet:
-            lo = [-_ONE] * n
-            hi = [_ONE] * n
-            lo[k - 1] = _ONE  # the whole facet x_k = +1
-            bound = _box_bound(entries, lo, hi)[0]
-            if bound >= best_value:
-                facet_values.append(bound)
-                pruned.append(k)
-                continue
-        value, witness = _facet_minimum(entries, k, 1, norm)
+    values = []
+    for k in range(1, dense.dim + 1):
+        value = _facet_minimum(entries, k, 1, norm)
         if check_mirror:
-            mirror_value, _ = _facet_minimum(entries, k, -1, norm)
+            mirror_value = _facet_minimum(entries, k, -1, norm)
             if mirror_value != value:
                 raise RuntimeError(
                     f"internal: facet {k} mirror asymmetry ({value} vs {mirror_value})"
                 )
-        facet_values.append(value)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_k = k
-            best_witness = witness
-
-    if sup_norm(best_witness) != _ONE or sup_norm(dense.apply(best_witness)) != best_value:
-        raise RuntimeError("internal: facet witness failed re-verification")
-    return MinModResult(
-        best_value, best_witness, (best_k, 1), tuple(facet_values), tuple(pruned)
-    )
+        values.append(value)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,8 @@ def _box_bound(entries, lo, hi):
 
     Row i takes values mid_i +/- w_i over the box (exact interval), so
     every point of the box satisfies sup|Tx| >= |mid_i| - w_i.  The steer
-    row maximizes that clearance and guides the split choice.  Both
-    engines use the bound: the oracle on its boxes, and the facet sweep
-    on whole facets to prune them.
+    row maximizes that clearance and guides the split choice.  Only the
+    oracle uses it.
     """
     n = len(lo)
     center = [(lo[j] + hi[j]) / 2 for j in range(n)]

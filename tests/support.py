@@ -1,5 +1,6 @@
-"""Shared test helpers: exact random generators and an independent
-vertex-enumeration optimum used to cross-check the simplex.
+"""Shared test helpers: exact random generators, an independent
+vertex-enumeration optimum used to cross-check the simplex, and a
+simplex-free certificate for reported minimum moduli.
 
 Everything stays rational; random draws go through ``random.Random`` with
 explicit seeds so failures replay.
@@ -12,9 +13,10 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from minmodlab.exactnum import Covector, Vector
-from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, scale
+from minmodlab.exactnum import Covector, Vector, sup_norm
+from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, materialize, scale
 from minmodlab.lpsolve import LinearProgram, linear_program, solve
+from minmodlab.minmod import MinModResult
 
 
 def small_fraction(rng: random.Random, span: int = 8) -> Fraction:
@@ -69,6 +71,25 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
                 f = a[r][col]
                 a[r] = [e - f * p for e, p in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+def certifies(op: Operator, result: MinModResult) -> bool:
+    """Check m(T) = result.value without the simplex or the library's elimination.
+
+    The witness is a unit sphere point, so sup_norm(T x) bounds m(T) from
+    above.  For invertible T, S = T^-1 is built column by column with
+    ``solve_square``, and ||x|| = ||S T x|| <= ||S|| ||T x|| bounds it from
+    below by 1/||S||, the largest row l1 sum of S; a singular T needs T x = 0.
+    """
+    dense = materialize(op)
+    rows = [list(row) for row in dense.entries]
+    n = dense.dim
+    if sup_norm(result.witness) != 1 or sup_norm(dense.apply(result.witness)) != result.value:
+        return False
+    columns = [solve_square(rows, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    if None in columns:
+        return result.value == 0
+    return result.value * max(sum(abs(col[i]) for col in columns) for i in range(n)) == 1
 
 
 def enumerate_box_lp_optimum(lp: LinearProgram) -> Optional[tuple[Fraction, tuple]]:

@@ -187,7 +187,7 @@ def test_criterion_8_engine_cross_validation(capfd):
     finally:
         _verdict(
             capfd,
-            "criterion 8: facet engine inside 100 certified oracle brackets; homogeneity on 100 pairs",
+            "criterion 8: inverse engine inside 100 certified oracle brackets; homogeneity on 100 pairs",
             ok,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from minmodlab.cli import (
     write_dense_operator,
 )
 from minmodlab.constructions import deflation_operator
-from minmodlab.linops import materialize
+from minmodlab.linops import materialize, scale
 
 
 def run_cli(capsys, *argv):
@@ -157,18 +158,42 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert err.startswith("error: m at N=2") and err.count("\n") == 1
     assert "Traceback" not in err
 
+    # the facet LPs disagree with the inverse engine
     facet_minimum = minmodlab.minmod._facet_minimum
-
-    def halved_witness(*args):
-        value, witness = facet_minimum(*args)
-        return value, Fraction(1, 2) * witness
-
     with monkeypatch.context() as patch:
-        patch.setattr(minmodlab.minmod, "_facet_minimum", halved_witness)
+        patch.setattr(minmodlab.minmod, "_facet_minimum", lambda *args: facet_minimum(*args) + Fraction(1, 7))
         code, out, err = run_cli(capsys, "minmod", "paper-t", "3")
     assert code == EXIT_CHECK_FAILED
     assert out == ""
-    assert err == "error: internal: facet witness failed re-verification\n"
+    assert err == "error: facet LPs give 5/7 and 5/7 on facet 1, the inverse gives 4/7\n"
+
+    # a wrong inverse yields a witness that fails re-verification against T
+    invert = minmodlab.minmod._invert
+    with monkeypatch.context() as patch:
+        patch.setattr(minmodlab.minmod, "_invert", lambda entries: scale(2, invert(entries)))
+        code, out, err = run_cli(capsys, "minmod", "paper-t", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: minimum-modulus witness failed re-verification\n"
+
+
+# sha256 of stdout as the facet-LP sweep produced it; the inverse engine must reproduce each byte
+_FROZEN_STDOUT = {
+    ("converge", "2", "12"): "716dfd3502c74a0c3ce588f7a61850ee520d5fd87439fa7f971796462880c0da",
+    ("paper-check",): "34857da19598b9a48ba6d4bb1d0c98f641f7a2db86c5a4f8584ee9d9222e93ca",
+    ("perturb", "6"): "b022312f29e28227ae73afa88786da277adda120740053145f5a2d3f29643f91",
+    # a search that goes through a step-underflow restart
+    ("search", "2", "--seed", "9", "--iterations", "200", "--budget", "1/2"): (
+        "bf93679af3d48557668608fa9a2a17e951bd6906b874f19451acb50916ffd4d3"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_FROZEN_STDOUT))
+def test_value_only_reports_are_frozen(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _FROZEN_STDOUT[argv]
 
 
 # --- matrix files --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact minimum modulus: facet LP sweep, certified sampling oracle, perturbation gain."""
+"""Exact minimum modulus: inverse engine, facet LPs, certified sampling oracle, perturbation gain."""
 
 from __future__ import annotations
 
@@ -9,37 +9,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmodlab.constructions import closed_form_min_modulus, deflation_operator
-from minmodlab.exactnum import basis_vector, sup_norm
+from minmodlab.constructions import (
+    c0_family,
+    closed_form_min_modulus,
+    deflation_operator,
+    deflation_repair,
+    direct_sum_family,
+)
+from minmodlab.exactnum import Vector, basis_vector, sup_norm
 from minmodlab.linops import diagonal, identity, materialize, op_norm_sup, scale, zero_operator
 from minmodlab.minmod import (
     BudgetExceededError,
     brute_force_min,
+    facet_minima,
     min_modulus_sup,
     perturbation_gain,
 )
-from support import random_structured_operator
+from support import certifies, random_structured_operator
 
 
 def test_identity_has_minimum_modulus_one():
     result = min_modulus_sup(identity(4))
     assert result.value == 1
     assert sup_norm(result.witness) == 1
-    assert result.facet_values == (1, 1, 1, 1)
+    assert facet_minima(identity(4)) == (1, 1, 1, 1)
 
 
-def test_zero_operator_short_circuits():
+def test_singular_operators_have_kernel_witnesses():
+    result = min_modulus_sup(diagonal([0, 1, 0]))
+    assert (result.value, result.witness, result.facet) == (0, Vector((1, 0, 0)), (1, 1))
     result = min_modulus_sup(zero_operator(3))
-    assert result.value == 0
-    assert result.witness == basis_vector(1, 3)
-    assert result.facet == (1, 1)
+    assert (result.value, result.witness, result.facet) == (0, basis_vector(1, 3), (1, 1))
+    for n in range(2, 9):
+        # the repair e1 (x) f has rank one
+        repair = deflation_repair(n)
+        result = min_modulus_sup(repair)
+        assert result.value == 0
+        assert not any(materialize(repair).apply(result.witness).coords)
 
 
 def test_diagonal_takes_the_smallest_entry():
     result = min_modulus_sup(diagonal([2, 3]))
     assert result.value == 2
     assert result.facet == (1, 1)
-    assert result.facet_values == (2, 3)
+    assert facet_minima(diagonal([2, 3])) == (2, 3)
     # the witness must live on the reported facet and attain the value
     assert abs(result.witness.coord(1)) == 1
     assert sup_norm(diagonal([2, 3]).apply(result.witness)) == 2
@@ -52,8 +65,8 @@ def test_facet_ties_resolve_to_the_lowest_coordinate():
 
 
 def test_mirror_check_passes_on_asymmetric_input():
-    plain = min_modulus_sup(diagonal([2, 3]))
-    checked = min_modulus_sup(diagonal([2, 3]), check_mirror=True)
+    plain = facet_minima(diagonal([2, 3]))
+    checked = facet_minima(diagonal([2, 3]), check_mirror=True)
     assert checked == plain
 
 
@@ -65,36 +78,41 @@ def test_witness_invariants_on_random_operators(seed, n):
     result = min_modulus_sup(op)
     assert sup_norm(result.witness) == 1
     assert sup_norm(materialize(op).apply(result.witness)) == result.value
-    assert result.value == min(result.facet_values)
     assert 0 <= result.value <= op_norm_sup(op)
     k, sign = result.facet
     assert result.witness.coord(k) == sign
-    # pruning changes no reported answer, only bounds unsolved facets
-    exhaustive = min_modulus_sup(op, every_facet=True)
-    assert exhaustive.pruned == ()
-    assert (result.value, result.witness, result.facet) == (
-        exhaustive.value,
-        exhaustive.witness,
-        exhaustive.facet,
-    )
-    for k, (entry, exact) in enumerate(zip(result.facet_values, exhaustive.facet_values), 1):
-        if k in result.pruned:
-            assert result.value <= entry <= exact
-        else:
-            assert entry == exact
-    # every solved facet's mirror starts at a corner with x_k = -1
-    assert min_modulus_sup(op, check_mirror=True) == result
+    # the facet LPs are a second engine: their least value is m(T), attained on the reported facet
+    facet_values = facet_minima(op)
+    assert result.value == min(facet_values)
+    assert facet_values[k - 1] == result.value
+    if result.value > 0:
+        # an invertible T reports the lowest attaining facet
+        assert all(v > result.value for v in facet_values[: k - 1])
+    # every facet's mirror starts at a corner with x_k = -1
+    assert facet_minima(op, check_mirror=True) == facet_values
 
 
-def test_deflation_solves_only_the_first_facet():
-    # rows 2..N of I - e1 (x) f are e_k, so every facet but the first has bound 1 > m_N
-    for n in range(2, 11):
+def test_deflation_witness_is_flat_after_the_first_coordinate():
+    # T^-1 = I + e1 (x) f has its largest row sum in row 1, so the witness sits on facet 1
+    for n in range(2, 13):
+        m = closed_form_min_modulus(n)
         result = min_modulus_sup(deflation_operator(n))
-        assert result.pruned == tuple(range(2, n + 1))
-        assert result.value == closed_form_min_modulus(n)
-    assert min_modulus_sup(deflation_operator(4), check_mirror=True) == min_modulus_sup(
+        assert result.value == m
+        assert result.witness == Vector((1,) + (m,) * (n - 1))
+        assert result.facet == (1, 1)
+    assert facet_minima(deflation_operator(4), check_mirror=True) == facet_minima(
         deflation_operator(4)
     )
+
+
+def test_values_carry_a_simplex_free_certificate():
+    rng = random.Random(12345)
+    for _ in range(400):
+        op = random_structured_operator(rng, rng.randint(1, 6))
+        assert certifies(op, min_modulus_sup(op))
+    for n in range(2, 11):
+        for family in (c0_family(n), direct_sum_family(n)):
+            assert certifies(family.operator, min_modulus_sup(family.operator))
 
 
 @settings(max_examples=25, deadline=None)
