@@ -51,7 +51,7 @@ class Dense:
         if len(x) != self.dim:
             raise ValueError(f"dimension mismatch: operator is {self.dim}, vector is {len(x)}")
         return Vector(
-            tuple(sum((a * b for a, b in zip(row, x.coords)), _ZERO) for row in self.entries)
+            tuple(sum((a * b for a, b in zip(row, x.coords) if a), _ZERO) for row in self.entries)
         )
 
     def rows(self) -> Matrix:

@@ -18,7 +18,13 @@ over the same facets that touches neither the inverse nor the LP.  It
 bounds each box through exact interval arithmetic on the rows of T and
 refines until boxes are thinner than the requested resolution h,
 returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
-point and upper - lower <= op_norm_sup(T) * h/2.
+point and upper - lower <= op_norm_sup(T) * h/2.  The arithmetic is on
+integers: A = D T for the least common denominator D of T's entries (one
+D for all rows, because the bound is a maximum across rows), and boxes
+are dyadic, with centres and radii over 2^L, so each row's centre value
+and half-width are integers over D 2^L.  Halving one coordinate changes
+each row by one term, so a box costs O(N).  Bounds are compared exactly
+by cross-multiplying; floats only order the queue of open boxes.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .exactnum import Rational, RationalInput, Vector, as_rational, sup_norm
@@ -168,75 +175,6 @@ class OracleResult:
     evaluations: int
 
 
-def _box_bound(entries, lo, hi):
-    """(lower bound of sup|Tx| on the box, value at the center, steer row).
-
-    Row i takes values mid_i +/- w_i over the box (exact interval), so
-    every point of the box satisfies sup|Tx| >= |mid_i| - w_i.  The steer
-    row maximizes that clearance and guides the split choice.  Only the
-    oracle uses it.
-    """
-    n = len(lo)
-    center = [(lo[j] + hi[j]) / 2 for j in range(n)]
-    radius = [(hi[j] - lo[j]) / 2 for j in range(n)]
-    bound = _ZERO
-    center_value = _ZERO
-    steer_row = 0
-    steer_clearance = None
-    for i, row in enumerate(entries):
-        mid = _ZERO
-        width = _ZERO
-        for j, e in enumerate(row):
-            if e:
-                mid += e * center[j]
-                if radius[j]:
-                    width += abs(e) * radius[j]
-        mid_abs = abs(mid)
-        clearance = mid_abs - width
-        if clearance > bound:
-            bound = clearance
-        if mid_abs > center_value:
-            center_value = mid_abs
-        if steer_clearance is None or clearance > steer_clearance:
-            steer_clearance = clearance
-            steer_row = i
-    return bound, center_value, steer_row
-
-
-def _split_coordinate(entries, lo, hi, steer_row: int) -> int:
-    """Pick the coordinate to halve.
-
-    Only coordinates at least half as wide as the widest are eligible —
-    that keeps the box roughly cubical and bounds the refinement depth, so
-    a steering row that ignores some coordinate can never stall the search
-    on it.  Within the eligible band, prefer the coordinate the steering
-    row weights most, then global column influence, then plain width.
-    """
-    n = len(lo)
-    widths = [hi[j] - lo[j] for j in range(n)]
-    half = max(widths) / 2
-    row = entries[steer_row]
-    best_j = -1
-    best_w = _ZERO
-    for j in range(n):
-        if widths[j] >= half and widths[j]:
-            weight = abs(row[j]) * widths[j]
-            if weight > best_w:
-                best_w = weight
-                best_j = j
-    if best_j >= 0:
-        return best_j
-    for j in range(n):
-        if widths[j] >= half and widths[j]:
-            weight = max(abs(r[j]) for r in entries) * widths[j]
-            if weight > best_w:
-                best_w = weight
-                best_j = j
-    if best_j >= 0:
-        return best_j
-    return max(range(n), key=lambda j: widths[j])
-
-
 def brute_force_min(
     T: Operator, h: RationalInput, *, point_budget: int = ORACLE_POINT_BUDGET
 ) -> OracleResult:
@@ -248,6 +186,15 @@ def brute_force_min(
     oddness of T.  Raises :class:`BudgetExceededError` (a distinct failure,
     never a silent truncation) once more than ``point_budget`` boxes have
     been bounded.
+
+    A box at level L has radii r_j / 2^L and carries, for each row i, the
+    centre value mid_i and the interval half-width w_i of (Ax)_i, with
+    A = D T; both are integers over D 2^L.  Over the box row i of Tx takes
+    values (mid_i +/- w_i) / (D 2^L), so sup|Tx| >= max_i |mid_i| - w_i.
+    The steer row maximizes that clearance.  The split halves a coordinate
+    at least half as wide as the widest, which keeps boxes roughly cubical
+    and bounds the depth; among those it prefers the coordinate the steer
+    row weights most, then the largest column of |A|, then the widest.
     """
     step = as_rational(h)
     if step <= 0:
@@ -256,61 +203,94 @@ def brute_force_min(
         raise ValueError("point budget must be at least 1")
     dense = materialize(T)
     n = dense.dim
-    entries = dense.entries
     lipschitz = op_norm_sup(dense)
+    denominator = lcm(*(e.denominator for row in dense.entries for e in row))
+    columns = list(zip(*(
+        [e.numerator * (denominator // e.denominator) for e in row] for row in dense.entries
+    )))
+    abs_columns = [[abs(a) for a in column] for column in columns]
+    abs_rows = list(zip(*abs_columns))
+    column_max = [max(column) for column in abs_columns]
+    p, q = step.numerator, step.denominator
 
-    upper: Rational | None = None
-    lower: Rational | None = None
+    # upper and lower are (numerator, denominator) pairs, compared by cross-multiplying
+    upper_num, upper_den = None, 1
+    lower_num, lower_den = None, 1
     evaluations = 0
     counter = 0
 
-    def settle(bnd: Rational) -> None:
+    def settle(bnd: int, den: int) -> None:
         # a box is retired; its bound joins the global sphere-wide minimum
-        nonlocal lower
-        if lower is None or bnd < lower:
-            lower = bnd
+        nonlocal lower_num, lower_den
+        if lower_num is None or bnd * lower_den < lower_num * den:
+            lower_num, lower_den = bnd, den
 
     for k in range(n):
-        lo = [-_ONE] * n
-        hi = [_ONE] * n
-        lo[k] = _ONE  # the facet x_{k+1} = +1
-        # heap entries: (float key for ordering only, tiebreak, exact bound,
-        # steer row, box); all certification uses the exact bound
-        heap: list[tuple[float, int, Rational, int, list, list]] = []
-        pending = [(lo, hi)]
+        radius = [1] * n
+        radius[k] = 0  # the facet x_{k+1} = +1, centred at e_{k+1}
+        # boxes are (level, mid, radius, width); the lists are never mutated,
+        # so the two halves of a split share radius and width
+        pending = [(0, list(columns[k]), radius, [sum(row) - row[k] for row in abs_rows])]
+        # heap entries: (float key for ordering only, tiebreak, exact bound
+        # numerator, steer row, box); all certification uses the exact bound.
+        # int / int is correctly rounded, so bnd / den is the same float as
+        # float(Fraction(bnd, den)): the queue order does not depend on the representation
+        heap: list[tuple[float, int, int, int, tuple]] = []
 
         while pending or heap:
             if pending:
-                blo, bhi = pending.pop()
+                box = pending.pop()
+                level, mid, radius, width = box
                 evaluations += 1
                 if evaluations > point_budget:
                     raise BudgetExceededError(
                         f"oracle exceeded its budget of {point_budget} box evaluations"
                     )
-                bnd, center_value, steer = _box_bound(entries, blo, bhi)
-                if upper is None or center_value < upper:
-                    upper = center_value
-                if bnd >= upper or max(bhi[j] - blo[j] for j in range(n)) <= step:
-                    settle(bnd)
+                den = denominator << level
+                clearance = [abs(m) - w for m, w in zip(mid, width)]
+                steer_clearance = max(clearance)
+                bnd = max(steer_clearance, 0)
+                centre = max(map(abs, mid))
+                if upper_num is None or centre * upper_den < upper_num * den:
+                    upper_num, upper_den = centre, den
+                if bnd * upper_den >= upper_num * den or 2 * max(radius) * q <= p << level:
+                    settle(bnd, den)
                 else:
-                    heapq.heappush(heap, (float(bnd), counter, bnd, steer, blo, bhi))
+                    steer = clearance.index(steer_clearance)
+                    heapq.heappush(heap, (bnd / den, counter, bnd, steer, box))
                     counter += 1
                 continue
 
-            _, _, bnd, steer, blo, bhi = heapq.heappop(heap)
-            if bnd >= upper:  # the best point improved since this was queued
-                settle(bnd)
+            _, _, bnd, steer, (level, mid, radius, width) = heapq.heappop(heap)
+            den = denominator << level
+            if bnd * upper_den >= upper_num * den:  # the best point improved since this was queued
+                settle(bnd, den)
                 continue
-            j = _split_coordinate(entries, blo, bhi, steer)
-            midpoint = (blo[j] + bhi[j]) / 2
-            left_hi = list(bhi)
-            left_hi[j] = midpoint
-            right_lo = list(blo)
-            right_lo[j] = midpoint
-            pending.append((blo, left_hi))
-            pending.append((right_lo, bhi))
+            widest = max(radius)  # positive, since the box did not settle
+            eligible = [c for c in range(n) if 2 * radius[c] >= widest]
+            row = abs_rows[steer]
+            j = max(eligible, key=lambda c: row[c] * radius[c])  # max keeps the first maximum
+            if not row[j]:
+                j = max(eligible, key=lambda c: column_max[c] * radius[c])
+                if not column_max[j]:
+                    j = radius.index(widest)
+            if radius[j] & 1:  # make the half radius an integer: one level deeper
+                level += 1
+                mid = [2 * m for m in mid]
+                radius = [2 * r for r in radius]
+                width = [2 * w for w in width]
+            else:
+                radius = list(radius)
+            half_radius = radius[j] >> 1
+            radius[j] = half_radius
+            width = [w - a * half_radius for w, a in zip(width, abs_columns[j])]
+            shift = [a * half_radius for a in columns[j]]
+            pending.append((level, [m - d for m, d in zip(mid, shift)], radius, width))
+            pending.append((level, [m + d for m, d in zip(mid, shift)], radius, width))
 
-    if lower is None or lower > upper:
+    upper = Fraction(upper_num, upper_den)
+    lower = Fraction(lower_num, lower_den)
+    if lower > upper:
         lower = upper
     return OracleResult(
         upper=upper,

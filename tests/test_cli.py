@@ -177,9 +177,18 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert err == "error: internal: minimum-modulus witness failed re-verification\n"
 
 
-# sha256 of stdout as the facet-LP sweep produced it; the inverse engine must reproduce each byte
+# sha256 of stdout: the value-only reports as the facet-LP sweep produced them, which
+# the inverse engine must reproduce byte for byte, and two oracle brackets as the
+# Fraction box bounds produced them, which the integer box bounds must reproduce
+# together with every evaluation count
 _FROZEN_STDOUT = {
     ("converge", "2", "12"): "716dfd3502c74a0c3ce588f7a61850ee520d5fd87439fa7f971796462880c0da",
+    ("oracle", "direct-sum", "4", "1/64"): (
+        "5bb49add2ad185282dacde5966b39480be4d178b52cbf55039d6912f7a8529c7"
+    ),
+    ("oracle", "paper-t", "5", "1/200"): (  # evaluations=2703
+        "a0732bdfeda7a75041b9daaa7e534a5a90aff66e0de89470907a8aa636678f07"
+    ),
     ("paper-check",): "34857da19598b9a48ba6d4bb1d0c98f641f7a2db86c5a4f8584ee9d9222e93ca",
     ("perturb", "6"): "b022312f29e28227ae73afa88786da277adda120740053145f5a2d3f29643f91",
     # a search that goes through a step-underflow restart

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmodlab.lpsolve
+import minmodlab.minmod
 from minmodlab.constructions import (
     c0_family,
     closed_form_min_modulus,
@@ -17,7 +20,7 @@ from minmodlab.constructions import (
     direct_sum_family,
 )
 from minmodlab.exactnum import Vector, basis_vector, sup_norm
-from minmodlab.linops import diagonal, identity, materialize, op_norm_sup, scale, zero_operator
+from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup, scale, zero_operator
 from minmodlab.minmod import (
     BudgetExceededError,
     brute_force_min,
@@ -161,6 +164,46 @@ def test_oracle_brackets_the_lp_value(seed):
 def test_oracle_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         brute_force_min(deflation_operator(4), Fraction(1, 200), point_budget=10)
+
+
+def test_oracle_budget_is_checked_before_each_box():
+    t, h = deflation_operator(5), Fraction(1, 200)
+    assert brute_force_min(t, h, point_budget=2703).evaluations == 2703
+    with pytest.raises(BudgetExceededError) as excinfo:
+        brute_force_min(t, h, point_budget=2702)
+    assert str(excinfo.value) == "oracle exceeded its budget of 2702 box evaluations"
+
+
+def test_oracle_brackets_are_frozen():
+    # 40 seeded operators with non-dyadic entries; the sha256 was taken when each
+    # box was bounded in Fraction arithmetic, and pins every bracket and box count
+    rng = random.Random(2026)
+    brackets = []
+    for _ in range(40):
+        op = random_structured_operator(rng, rng.randint(2, 4))
+        result = brute_force_min(op, Fraction(1, 32))
+        brackets.append((result.lower, result.upper, result.evaluations))
+    assert sum(evaluations for _, _, evaluations in brackets) == 4554
+    digest = hashlib.sha256(repr(brackets).encode("utf-8")).hexdigest()
+    assert digest == "f6e1e08870d72c898e9e067f58e835ba24e0854500960c9f6a1c0535adbfdecd"
+
+
+def test_oracle_calls_neither_the_inverse_nor_the_lp(monkeypatch):
+    dense = Dense(((Fraction(1, 3), Fraction(-2, 5), 1),
+                   (Fraction(3, 7), 1, Fraction(-1, 9)),
+                   (Fraction(-5, 3), Fraction(1, 5), Fraction(7, 3))))
+    cases = [(deflation_operator(4), Fraction(1, 64)), (dense, Fraction(1, 32))]
+    expected = [brute_force_min(op, h) for op, h in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached another engine")
+
+    monkeypatch.setattr(minmodlab.minmod, "_invert", forbidden)
+    monkeypatch.setattr(minmodlab.minmod, "min_modulus_sup", forbidden)
+    for module in (minmodlab.minmod, minmodlab.lpsolve):  # minmod imports both names
+        monkeypatch.setattr(module, "solve", forbidden)
+        monkeypatch.setattr(module, "linear_program", forbidden)
+    assert [brute_force_min(op, h) for op, h in cases] == expected
 
 
 def test_oracle_rejects_bad_parameters():
