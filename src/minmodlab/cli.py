@@ -358,7 +358,7 @@ def _run(args) -> int:
     # paper-check builds every section up to n_max; converge stops at its own --lp-budget instead
     dimension = args.n_max if args.command == "paper-check" else getattr(args, "n", None)
     if dimension is not None and dimension > LP_DIMENSION_BUDGET:
-        raise BudgetExceededError(f"dimension {dimension} exceeds the LP dimension budget {LP_DIMENSION_BUDGET}")
+        raise BudgetExceededError(f"dimension {dimension} exceeds the dimension budget {LP_DIMENSION_BUDGET}")
     source, code, note = args.handler(args)
     header = [("command", args.command)]
     for key in _ECHOED:

@@ -29,6 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from . import minmod
 from .constructions import c0_family, closed_form_min_modulus
 from .exactnum import (
     Covector,
@@ -39,7 +40,7 @@ from .exactnum import (
     format_rational,
     sup_norm,
 )
-from .linops import Operator, RankOne, add, op_norm_sup
+from .linops import Operator, RankOne, add, materialize, op_norm_sup
 from .minmod import min_modulus_sup
 
 SCHEMA_VERSION = 1
@@ -330,6 +331,10 @@ def rank_one_search(
     returned, so the gain is never negative.  Identical seeds give identical
     outcomes, and the reported score is recomputed from the returned
     perturbation alone.
+
+    T is inverted once; a proposal's inverse is the O(N^2) Sherman-Morrison
+    update of T^-1.  A singular T has no inverse, so then each T + K is
+    inverted afresh.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -337,7 +342,9 @@ def rank_one_search(
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n = T.dim
-    base = min_modulus_sup(T).value
+    dense = materialize(T)
+    inverse = minmod._invert(dense.entries)
+    base = minmod._read_inverse(inverse, dense.apply).value
 
     if budget == 0 or iterations == 0:
         k0 = _zero_rank_one(n)
@@ -370,7 +377,16 @@ def rank_one_search(
     def score(u: tuple, g: tuple) -> Rational:
         nonlocal evaluations
         evaluations += 1
-        return min_modulus_sup(add(T, RankOne(Vector(u), Covector(g)))).value
+        direction, functional = Vector(u), Covector(g)
+        if isinstance(inverse, Vector):  # T is singular: no inverse to update
+            return min_modulus_sup(add(T, RankOne(direction, functional))).value
+
+        def perturbed(x: Vector) -> Vector:  # (T + u (x) g) x
+            gx = functional(x)
+            return Vector(tx + c * gx for tx, c in zip(dense.apply(x).coords, u))
+
+        updated = minmod._rank_one_update(inverse, direction, functional)
+        return minmod._read_inverse(updated, perturbed).value
 
     def random_state():
         while True:

@@ -4,6 +4,8 @@
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One Gauss-Jordan elimination decides both.
+``_rank_one_update`` turns S into (T + u (x) g)^-1 in O(N^2), so the
+rank-one search inverts its fixed T only once.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -33,9 +35,9 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .exactnum import Rational, RationalInput, Vector, as_rational, sup_norm
+from .exactnum import Covector, Rational, RationalInput, Vector, as_rational, sup_norm
 from .linops import Dense, Operator, add, materialize, op_norm_sup, op_norm_witness
 from .lpsolve import linear_program, solve
 
@@ -46,7 +48,7 @@ ORACLE_POINT_BUDGET = 500_000  # boxes the oracle may bound before giving up
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured budget (oracle box evaluations, LP dimension) ran out or would be exceeded."""
+    """A configured budget (oracle box evaluations, dimension) ran out or would be exceeded."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,25 @@ def _invert(entries) -> Dense | Vector:
     return Dense(tuple(tuple(row[n:]) for row in a))
 
 
+def _rank_one_update(inverse: Dense, u: Vector, g: Covector) -> Dense | Vector:
+    """(T + u (x) g)^-1 from S = T^-1, or a kernel vector when T + u (x) g is singular.
+
+    Sherman-Morrison: with a = Su and b = gS, the inverse is
+    S - a b / (1 + g a), in O(N^2).  When 1 + g a = 0,
+    (T + u (x) g) a = u (1 + g a) = 0, and a is nonzero because u is.
+    """
+    a = inverse.apply(u)
+    d = 1 + g(a)
+    if not d:
+        return a
+    columns = zip(*inverse.entries)
+    b = [sum((gi * e for gi, e in zip(g.coeffs, column) if gi), _ZERO) for column in columns]
+    return Dense(tuple(
+        tuple(s - f * bj for s, bj in zip(row, b)) if f else row
+        for row, f in zip(inverse.entries, (ai / d for ai in a.coords))
+    ))
+
+
 def min_modulus_sup(T: Operator) -> MinModResult:
     """Exact m(T) = min over the unit sphere of sup_norm(T x).
 
@@ -97,7 +118,14 @@ def min_modulus_sup(T: Operator) -> MinModResult:
     entry of largest modulus is +1.  The witness is re-verified against T.
     """
     dense = materialize(T)
-    inverse = _invert(dense.entries)
+    return _read_inverse(_invert(dense.entries), dense.apply)
+
+
+def _read_inverse(inverse: Dense | Vector, apply: Callable[[Vector], Vector]) -> MinModResult:
+    """``min_modulus_sup``'s reading of T^-1, or of a kernel vector of T.
+
+    ``apply`` is x -> Tx, through which the witness is re-verified.
+    """
     if isinstance(inverse, Vector):  # a kernel vector: T is singular
         value = _ZERO
         witness = (1 / max(inverse.coords, key=abs)) * inverse
@@ -105,7 +133,7 @@ def min_modulus_sup(T: Operator) -> MinModResult:
         norm, y = op_norm_witness(inverse)
         value = 1 / norm
         witness = value * inverse.apply(y)
-    if sup_norm(witness) != _ONE or sup_norm(dense.apply(witness)) != value:
+    if sup_norm(witness) != _ONE or sup_norm(apply(witness)) != value:
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
     return MinModResult(value, witness, (witness.coords.index(_ONE) + 1, 1))
 

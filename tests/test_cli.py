@@ -141,12 +141,14 @@ def test_dimension_budget_is_checked_before_building(capsys):
     for argv in (
         ("minmod", "paper-t", "65"),
         ("search", "65", "--seed", "1"),
+        ("perturb", "65"),
+        ("oracle", "paper-t", "65", "1/2"),
         ("paper-check", "--n-max", "65"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_BUDGET
         assert out == ""
-        assert err.startswith("error:") and "budget 64" in err and err.count("\n") == 1
+        assert err == "error: dimension 65 exceeds the dimension budget 64\n"
 
 
 def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import minmodlab.harness
+from minmodlab import minmod
 from minmodlab.constructions import (
     c0_family,
     deflation_operator,
     minimizing_vector,
 )
-from minmodlab.exactnum import basis_vector, vector
+from minmodlab.exactnum import Covector, Vector, basis_vector, vector
 from minmodlab.harness import (
     InvariantViolation,
     Report,
@@ -24,8 +27,9 @@ from minmodlab.harness import (
     rank_one_search,
     weak_null_test,
 )
-from minmodlab.linops import add, op_norm_sup
+from minmodlab.linops import Dense, RankOne, add, op_norm_sup
 from minmodlab.minmod import min_modulus_sup
+from support import small_fraction
 
 
 # --- convergence -----------------------------------------------------------
@@ -181,6 +185,99 @@ def test_search_finds_a_strict_lift_on_the_deflation():
     outcome = rank_one_search(t, 1, seed=7, iterations=60)
     assert outcome.gain > 0
     assert outcome.base_value == Fraction(2, 3)
+
+
+def _outcomes_digest(outcomes) -> str:
+    return hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+
+
+def _singular_dense(rng: random.Random, n: int) -> Dense:
+    rows = [[small_fraction(rng, 4) for _ in range(n)] for _ in range(n - 1)]
+    factor = small_fraction(rng, 3)
+    rows.append([factor * e for e in rows[0]])  # a multiple of the first row
+    return Dense(tuple(map(tuple, rows)))
+
+
+def test_search_outcomes_are_frozen():
+    # the perturb-search benchmark's inputs: 32 seeded searches on the N=5 deflation
+    rng = random.Random(1)
+    t = deflation_operator(5)
+    outcomes = [rank_one_search(t, 1, seed=rng.randrange(2**32), iterations=40) for _ in range(32)]
+    assert _outcomes_digest(outcomes) == (
+        "a1a9693117acd9eb8ee52e21eff1cf1e11452851679a857a40ccfafee3ffd91e"
+    )
+    # singular operators have no inverse to update, so every proposal is scored afresh
+    rng = random.Random(2)
+    outcomes = [
+        rank_one_search(
+            _singular_dense(rng, n), Fraction(1, 2), seed=rng.randrange(2**32), iterations=30
+        )
+        for n in (2, 3, 4, 5, 2, 3, 4, 5)
+    ]
+    assert all(o.base_value == 0 for o in outcomes)
+    assert _outcomes_digest(outcomes) == (
+        "daef7ada38c6866da4cca8ded65a52ef8069879a4487132b98d67aedf5d4d926"
+    )
+
+
+def _invertible_dense(rng: random.Random, n: int) -> Dense:
+    while True:
+        t = Dense(tuple(tuple(small_fraction(rng, 4) for _ in range(n)) for _ in range(n)))
+        if min_modulus_sup(t).value:
+            return t
+
+
+def test_rank_one_update_matches_a_fresh_inverse():
+    rng = random.Random(20)
+    for n in range(1, 7):
+        for _ in range(4):
+            t = _invertible_dense(rng, n)
+            inverse = minmod._invert(t.entries)
+            u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
+            g = Covector(small_fraction(rng, 4) for _ in range(n))
+            perturbed = add(t, RankOne(u, g))
+            updated = minmod._rank_one_update(inverse, u, g)
+            assert minmod._read_inverse(updated, perturbed.apply) == min_modulus_sup(perturbed)
+            if isinstance(updated, Dense):
+                assert updated == minmod._invert(perturbed.entries)
+
+    # 1 + g(Su) = 0: T + u (x) g is singular and Su spans its kernel
+    t = _invertible_dense(rng, 4)
+    inverse = minmod._invert(t.entries)
+    u = Vector(["1", "-1/2", "3/4", "0"])
+    su = inverse.apply(u)
+    k = next(j for j, c in enumerate(su.coords, 1) if c)
+    g = Covector(["1/2", "1", "-2", "1/4"])
+    g = g.replace_coeff(k, g.coeff(k) - (1 + g(su)) / su.coord(k))
+    assert 1 + g(su) == 0
+    perturbed = add(t, RankOne(u, g))
+    kernel = minmod._rank_one_update(inverse, u, g)
+    assert kernel == su
+    assert perturbed.apply(kernel) == Vector([0] * 4)
+    result = minmod._read_inverse(kernel, perturbed.apply)
+    assert result.value == 0
+    assert result == min_modulus_sup(perturbed)
+
+
+def test_search_inverts_an_invertible_operator_once(monkeypatch):
+    calls = []
+    invert = minmod._invert
+
+    def counted(entries):
+        calls.append(len(entries))
+        return invert(entries)
+
+    monkeypatch.setattr(minmod, "_invert", counted)
+    t = deflation_operator(4)
+    for iterations in (1, 7, 40):
+        calls.clear()
+        rank_one_search(t, 1, seed=3, iterations=iterations)
+        # the base, whose inverse every proposal updates, and the final recomputation
+        assert len(calls) == 2
+    # a singular operator has no inverse to update: each proposal inverts T + K afresh
+    calls.clear()
+    outcome = rank_one_search(_singular_dense(random.Random(4), 3), 1, seed=3, iterations=10)
+    assert len(calls) == outcome.evaluations + 2
 
 
 def test_search_validation():
