@@ -281,7 +281,7 @@ def _cmd_converge(args):
     study = convergence_study(args.n_min, args.n_max, lp_dimension_budget=budget)
     if not study.partial:
         return study, EXIT_OK, None
-    note = f"converge: stopped at the LP dimension budget {budget} (requested up to {args.n_max})"
+    note = f"converge: stopped at the dimension budget {budget} (requested up to {args.n_max})"
     return study, EXIT_BUDGET, note
 
 

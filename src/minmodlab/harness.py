@@ -38,7 +38,6 @@ from .exactnum import (
     Vector,
     as_rational,
     format_rational,
-    sup_norm,
 )
 from .linops import Operator, RankOne, add, materialize, op_norm_sup
 from .minmod import min_modulus_sup
@@ -51,7 +50,7 @@ _HALF = Fraction(1, 2)
 _SEARCH_INITIAL_STEP = Fraction(1, 2)
 _SEARCH_MIN_STEP = Fraction(1, 64)
 
-LP_DIMENSION_BUDGET = 64  # largest section the LP studies and the CLI attempt
+LP_DIMENSION_BUDGET = 64  # largest section the convergence study and the CLI attempt
 SEARCH_ITERATIONS = 200
 
 
@@ -116,7 +115,7 @@ def convergence_study(
     if n_max < n_min:
         raise ValueError("empty study range")
     if lp_dimension_budget < 1:
-        raise ValueError("the LP dimension budget must be at least 1")
+        raise ValueError("the dimension budget must be at least 1")
     limit = min(n_max, lp_dimension_budget)
     rows = []
     previous_gap: Optional[Rational] = None
@@ -332,9 +331,9 @@ def rank_one_search(
     outcomes, and the reported score is recomputed from the returned
     perturbation alone.
 
-    T is inverted once; a proposal's inverse is the O(N^2) Sherman-Morrison
-    update of T^-1.  A singular T has no inverse, so then each T + K is
-    inverted afresh.
+    T is inverted once, as M/d with M an integer matrix; each proposal is
+    scored in integers from the O(N^2) Sherman-Morrison update of M/d.  A
+    singular T has no inverse, so then each T + K is inverted afresh.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -342,14 +341,14 @@ def rank_one_search(
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n = T.dim
-    dense = materialize(T)
-    inverse = minmod._invert(dense.entries)
-    base = minmod._read_inverse(inverse, dense.apply).value
+    entries = materialize(T).entries
+    inverse, d = minmod._integer_inverse(entries)
+    rows = minmod._integer_matrix(entries)
+    base = minmod._read_inverse(inverse, d, rows).value
 
     if budget == 0 or iterations == 0:
-        k0 = _zero_rank_one(n)
         return SearchOutcome(
-            perturbation=k0,
+            perturbation=_zero_rank_one(n),
             norm=_ZERO,
             base_value=base,
             perturbed_value=base,
@@ -363,39 +362,31 @@ def rank_one_search(
     evaluations = 0
 
     def normalized(u: tuple, g: tuple):
-        peak = max(abs(c) for c in u)
-        if peak == 0:
-            return None
-        u2 = tuple(c / peak for c in u)
-        g2 = tuple(c * peak for c in g)
-        weight = sum((abs(c) for c in g2), _ZERO)
+        peak = max(abs(c) for c in u)  # nonzero: a step of at most 1/2 cannot cancel a peak of 1
+        if peak != 1:
+            u = tuple(c / peak for c in u)
+            g = tuple(c * peak for c in g)
+        weight = sum((abs(c) for c in g), _ZERO)
         if weight > budget:
             shrink = budget / weight
-            g2 = tuple(c * shrink for c in g2)
-        return u2, g2
+            g = tuple(c * shrink for c in g)
+        return u, g
 
     def score(u: tuple, g: tuple) -> Rational:
         nonlocal evaluations
         evaluations += 1
-        direction, functional = Vector(u), Covector(g)
-        if isinstance(inverse, Vector):  # T is singular: no inverse to update
-            return min_modulus_sup(add(T, RankOne(direction, functional))).value
-
-        def perturbed(x: Vector) -> Vector:  # (T + u (x) g) x
-            gx = functional(x)
-            return Vector(tx + c * gx for tx, c in zip(dense.apply(x).coords, u))
-
-        updated = minmod._rank_one_update(inverse, direction, functional)
-        return minmod._read_inverse(updated, perturbed).value
+        if not d:  # T is singular: no inverse to update
+            return min_modulus_sup(add(T, RankOne(Vector(u), Covector(g)))).value
+        (U, G), common = minmod._integer_matrix((u, g))
+        rank_one = (U, G, common * common)
+        return minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), rows, rank_one).value
 
     def random_state():
         while True:
             u = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(n))
             g = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(n))
             if any(u) and any(g):
-                state = normalized(u, g)
-                if state is not None:
-                    return state
+                return normalized(u, g)
 
     u, g = random_state()
     current = score(u, g)
@@ -406,27 +397,18 @@ def rank_one_search(
 
     for it in range(iterations):
         slot = it % round_length  # u_1..u_n, then g_1..g_n
-        proposals = []
+        chosen, chosen_score = None, current
         for sgn in (1, -1):
             moved = list(u + g)
             moved[slot] += sgn * step
             state = normalized(tuple(moved[:n]), tuple(moved[n:]))
-            if state is not None:
-                proposals.append(state)
-
-        chosen = None
-        chosen_score = current
-        for state in proposals:
             s = score(*state)
             if s > chosen_score:
-                chosen = state
-                chosen_score = s
+                chosen, chosen_score = state, s
         if chosen is not None:
             u, g = chosen
             current = chosen_score
             stall = 0
-            if current > best_score:
-                best_u, best_g, best_score = u, g, current
         else:
             stall += 1
             if stall >= round_length:
@@ -436,8 +418,8 @@ def rank_one_search(
                     u, g = random_state()
                     current = score(u, g)
                     step = _SEARCH_INITIAL_STEP
-                    if current > best_score:
-                        best_u, best_g, best_score = u, g, current
+        if current > best_score:
+            best_u, best_g, best_score = u, g, current
 
     perturbation = RankOne(Vector(best_u), Covector(best_g))
     if best_score < base:

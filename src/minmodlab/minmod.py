@@ -4,8 +4,8 @@
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One Gauss-Jordan elimination decides both.
-``_rank_one_update`` turns S into (T + u (x) g)^-1 in O(N^2), so the
-rank-one search inverts its fixed T only once.
+Read as M/d (M integer), S becomes (T + u (x) g)^-1 in O(N^2) integer
+steps by ``_rank_one_update``, so the rank-one search inverts T once.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -35,10 +35,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .exactnum import Covector, Rational, RationalInput, Vector, as_rational, sup_norm
-from .linops import Dense, Operator, add, materialize, op_norm_sup, op_norm_witness
+from .exactnum import Rational, RationalInput, Vector, as_rational
+from .linops import Dense, Operator, add, materialize, op_norm_sup
 from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
@@ -88,54 +88,74 @@ def _invert(entries) -> Dense | Vector:
     return Dense(tuple(tuple(row[n:]) for row in a))
 
 
-def _rank_one_update(inverse: Dense, u: Vector, g: Covector) -> Dense | Vector:
-    """(T + u (x) g)^-1 from S = T^-1, or a kernel vector when T + u (x) g is singular.
+def _integer_matrix(entries) -> tuple[list[list[int]], int]:
+    """(A, D): the least common denominator D of the entries and the integer rows A = D T."""
+    denominator = lcm(*(e.denominator for row in entries for e in row))
+    return [[e.numerator * (denominator // e.denominator) for e in row] for row in entries], denominator
 
-    Sherman-Morrison: with a = Su and b = gS, the inverse is
-    S - a b / (1 + g a), in O(N^2).  When 1 + g a = 0,
-    (T + u (x) g) a = u (1 + g a) = 0, and a is nonzero because u is.
+
+def _integer_inverse(entries) -> tuple[list, int]:
+    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T."""
+    inverse = _invert(entries)
+    if isinstance(inverse, Vector):
+        return _integer_matrix((inverse.coords,))[0][0], 0
+    return _integer_matrix(inverse.entries)
+
+
+def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]:
+    """(M', d') with (T + U (x) G / e)^-1 = M'/d', from T^-1 = M/d.
+
+    Sherman-Morrison, S - (Su)(gS)/(1 + g Su), in integers: with a = MU and
+    den = d e + G a, M' = den M - a (x) (G M) and d' = d den, without a gcd.
+    When den = 0, T + U (x) G / e is singular and (a, 0) comes back: a != 0
+    is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.
     """
-    a = inverse.apply(u)
-    d = 1 + g(a)
-    if not d:
-        return a
-    columns = zip(*inverse.entries)
-    b = [sum((gi * e for gi, e in zip(g.coeffs, column) if gi), _ZERO) for column in columns]
-    return Dense(tuple(
-        tuple(s - f * bj for s, bj in zip(row, b)) if f else row
-        for row, f in zip(inverse.entries, (ai / d for ai in a.coords))
-    ))
+    U, G, e = rank_one
+    a = [sum(m * c for m, c in zip(row, U) if c) for row in inverse]
+    den = d * e + sum(gi * ai for gi, ai in zip(G, a))
+    if not den:
+        return a, 0
+    b = [sum(gi * m for gi, m in zip(G, column) if gi) for column in zip(*inverse)]
+    return [[den * m - ai * bj for m, bj in zip(row, b)] for row, ai in zip(inverse, a)], d * den
 
 
 def min_modulus_sup(T: Operator) -> MinModResult:
     """Exact m(T) = min over the unit sphere of sup_norm(T x).
 
-    For invertible T, (||S||, y) = op_norm_witness(S) with S = T^-1 gives
-    the value 1/||S|| and the witness Sy/||S||, whose entry at the first
-    maximal row i* of S is 1.  Facet k attains m(T) exactly when row k of
-    S is maximal, so i* is the lowest attaining facet.  A singular T gets
-    value 0 and the kernel vector of ``_invert``, scaled so that its first
-    entry of largest modulus is +1.  The witness is re-verified against T.
+    For invertible T, with S = T^-1 and y the sign vector (zeros +1) of the
+    first maximal row i* of S, m(T) = 1/||S|| with witness Sy/||S||; facet k
+    attains m(T) exactly when row k of S is maximal, so i* is the lowest
+    attaining facet.  A singular T gets 0 and the kernel vector of ``_invert``
+    scaled to a first entry of largest modulus +1.  The witness is re-verified.
     """
-    dense = materialize(T)
-    return _read_inverse(_invert(dense.entries), dense.apply)
+    entries = materialize(T).entries
+    return _read_inverse(*_integer_inverse(entries), _integer_matrix(entries))
 
 
-def _read_inverse(inverse: Dense | Vector, apply: Callable[[Vector], Vector]) -> MinModResult:
-    """``min_modulus_sup``'s reading of T^-1, or of a kernel vector of T.
+def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = None) -> MinModResult:
+    """``min_modulus_sup``'s reading of M/d, the inverse of A/D + U (x) G / e, in integers.
 
-    ``apply`` is x -> Tx, through which the witness is re-verified.
+    ``base`` is (A, D), ``rank_one`` (U, G, e) or None for A/D itself; d = 0
+    marks M as a kernel vector.  With R the largest row l1 sum of M, m = |d|/R,
+    the witness is z/R with z = sign(d) M y, and the re-verification is
+    max|z| = R and max|e A z + D U (G z)| = |d| D e.
     """
-    if isinstance(inverse, Vector):  # a kernel vector: T is singular
-        value = _ZERO
-        witness = (1 / max(inverse.coords, key=abs)) * inverse
+    rows, denominator = base
+    if d:
+        sums = [sum(map(abs, row)) for row in inverse]
+        norm = max(sums)
+        y = [1 if m * d >= 0 else -1 for m in inverse[sums.index(norm)]]  # the signs of M/d
+        z = [sum(m * c for m, c in zip(row, y)) * (1 if d > 0 else -1) for row in inverse]
     else:
-        norm, y = op_norm_witness(inverse)
-        value = 1 / norm
-        witness = value * inverse.apply(y)
-    if sup_norm(witness) != _ONE or sup_norm(apply(witness)) != value:
+        peak = max(inverse, key=abs)
+        norm, z = abs(peak), [c if peak > 0 else -c for c in inverse]
+    U, G, e = rank_one or ([0] * len(z), [], 1)
+    gz = sum(gi * c for gi, c in zip(G, z))
+    image = [e * sum(a * c for a, c in zip(row, z) if a) + denominator * gz * ui for row, ui in zip(rows, U)]
+    if max(map(abs, z)) != norm or max(map(abs, image)) != abs(d) * denominator * e:
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
-    return MinModResult(value, witness, (witness.coords.index(_ONE) + 1, 1))
+    witness = Vector(Fraction(c, norm) for c in z)
+    return MinModResult(Fraction(abs(d), norm), witness, (z.index(norm) + 1, 1))
 
 
 def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> Rational:
@@ -232,10 +252,8 @@ def brute_force_min(
     dense = materialize(T)
     n = dense.dim
     lipschitz = op_norm_sup(dense)
-    denominator = lcm(*(e.denominator for row in dense.entries for e in row))
-    columns = list(zip(*(
-        [e.numerator * (denominator // e.denominator) for e in row] for row in dense.entries
-    )))
+    rows, denominator = _integer_matrix(dense.entries)
+    columns = list(zip(*rows))
     abs_columns = [[abs(a) for a in column] for column in columns]
     abs_rows = list(zip(*abs_columns))
     column_max = [max(column) for column in abs_columns]

@@ -178,6 +178,21 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert out == ""
     assert err == "error: internal: minimum-modulus witness failed re-verification\n"
 
+    # a wrong rank-one update yields a proposal witness that fails re-verification
+    update = minmodlab.minmod._rank_one_update
+
+    def doubled(*args):
+        inverse, d = update(*args)
+        return [[2 * m for m in row] for row in inverse], d
+
+    with monkeypatch.context() as patch:
+        patch.setattr(minmodlab.minmod, "_rank_one_update", doubled)
+        code, out, err = run_cli(capsys, "search", "4", "--seed", "1")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: minimum-modulus witness failed re-verification\n"
+    assert "Traceback" not in err
+
 
 # sha256 of stdout: the value-only reports as the facet-LP sweep produced them, which
 # the inverse engine must reproduce byte for byte, and two oracle brackets as the
@@ -279,7 +294,7 @@ def test_converge_budget_exit(capsys):
         code, out, err = run_cli(capsys, "converge", "2", "3", "--lp-budget", budget)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "error: the LP dimension budget must be at least 1\n"
+        assert err == "error: the dimension budget must be at least 1\n"
 
 
 def test_converge_bad_range(capsys):
@@ -427,7 +442,7 @@ def test_help_exits_cleanly(capsys):
 
 # --- the whole argument grammar ----------------------------------------------------
 # Small sizes keep each invocation cheap: dimensions up to 5 (plus 65, which the
-# LP dimension budget rejects before any work), h >= 1/8, few oracle boxes and
+# dimension budget rejects before any work), h >= 1/8, few oracle boxes and
 # search iterations, converge sections up to 6.
 
 _DIMENSIONS = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 5, 65])

@@ -227,36 +227,75 @@ def _invertible_dense(rng: random.Random, n: int) -> Dense:
             return t
 
 
+def _integer_rank_one(u: Vector, g: Covector) -> tuple:
+    (U,), du = minmod._integer_matrix((u.coords,))
+    (G,), dg = minmod._integer_matrix((g.coeffs,))
+    return U, G, du * dg
+
+
 def test_rank_one_update_matches_a_fresh_inverse():
     rng = random.Random(20)
+    negative = 0  # draws with 1 + g(Su) < 0, where d' = d (d e + G a) is negative
     for n in range(1, 7):
         for _ in range(4):
             t = _invertible_dense(rng, n)
-            inverse = minmod._invert(t.entries)
+            inverse, d = minmod._integer_inverse(t.entries)
             u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))
-            updated = minmod._rank_one_update(inverse, u, g)
-            assert minmod._read_inverse(updated, perturbed.apply) == min_modulus_sup(perturbed)
-            if isinstance(updated, Dense):
-                assert updated == minmod._invert(perturbed.entries)
+            rank_one = _integer_rank_one(u, g)
+            updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+            result = minmod._read_inverse(updated, d2, minmod._integer_matrix(t.entries), rank_one)
+            assert result == min_modulus_sup(perturbed)
+            sign = 1 + g(minmod._invert(t.entries).apply(u))
+            assert (d2 < 0) == (sign < 0) and (d2 == 0) == (sign == 0)
+            negative += sign < 0
+            if d2:
+                fresh = minmod._invert(perturbed.entries)
+                assert Dense(tuple(tuple(Fraction(m, d2) for m in row) for row in updated)) == fresh
+    assert negative
 
     # 1 + g(Su) = 0: T + u (x) g is singular and Su spans its kernel
     t = _invertible_dense(rng, 4)
-    inverse = minmod._invert(t.entries)
+    inverse, d = minmod._integer_inverse(t.entries)
     u = Vector(["1", "-1/2", "3/4", "0"])
-    su = inverse.apply(u)
+    su = minmod._invert(t.entries).apply(u)
     k = next(j for j, c in enumerate(su.coords, 1) if c)
     g = Covector(["1/2", "1", "-2", "1/4"])
     g = g.replace_coeff(k, g.coeff(k) - (1 + g(su)) / su.coord(k))
     assert 1 + g(su) == 0
     perturbed = add(t, RankOne(u, g))
-    kernel = minmod._rank_one_update(inverse, u, g)
-    assert kernel == su
-    assert perturbed.apply(kernel) == Vector([0] * 4)
-    result = minmod._read_inverse(kernel, perturbed.apply)
+    rank_one = _integer_rank_one(u, g)
+    kernel, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    assert d2 == 0
+    (U,), du = minmod._integer_matrix((u.coords,))
+    assert Vector(kernel) == (d * du) * su
+    assert perturbed.apply(Vector(kernel)) == Vector([0] * 4)
+    result = minmod._read_inverse(kernel, d2, minmod._integer_matrix(t.entries), rank_one)
     assert result.value == 0
     assert result == min_modulus_sup(perturbed)
+
+
+def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
+    t = deflation_operator(5)
+    inverse, d = minmod._integer_inverse(t.entries)
+    rows = minmod._integer_matrix(t.entries)
+    u = Vector(["1", "-1/2", "3/8", "0", "1/4"])
+    g = Covector(["1/8", "0", "-3/4", "1/2", "1/3"])
+    rank_one = _integer_rank_one(u, g)
+    expected = min_modulus_sup(add(t, RankOne(u, g)))
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic while scoring a proposal")
+
+    with monkeypatch.context() as patch:
+        for name in ("add", "sub", "mul", "truediv", "floordiv", "pow"):
+            patch.setattr(Fraction, f"__{name}__", forbidden)
+            patch.setattr(Fraction, f"__r{name}__", forbidden)
+        for name in ("abs", "neg", "lt", "le", "gt", "ge", "eq"):
+            patch.setattr(Fraction, f"__{name}__", forbidden)
+        result = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), rows, rank_one)
+    assert result == expected
 
 
 def test_search_inverts_an_invertible_operator_once(monkeypatch):
