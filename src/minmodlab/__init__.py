@@ -33,7 +33,6 @@ from .linops import (
     identity,
     materialize,
     op_norm_sup,
-    op_norm_witness,
     scale,
     zero_operator,
 )

@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_EXITS = (
     (BudgetExceededError, EXIT_BUDGET),
     (InvariantViolation, EXIT_CHECK_FAILED),  # a broken internal invariant
-    (RuntimeError, EXIT_CHECK_FAILED),  # a failed witness re-verification
+    (RuntimeError, EXIT_CHECK_FAILED),  # a failed inverse certificate or witness re-verification
     (MatrixFormatError, EXIT_IO),
     (ValueError, EXIT_USAGE),  # also the library's parameter validation (bad ranges, resolutions)
     (OSError, EXIT_IO),

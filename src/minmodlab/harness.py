@@ -331,9 +331,10 @@ def rank_one_search(
     outcomes, and the reported score is recomputed from the returned
     perturbation alone.
 
-    T is inverted once, as M/d with M an integer matrix; each proposal is
-    scored in integers from the O(N^2) Sherman-Morrison update of M/d.  A
-    singular T has no inverse, so then each T + K is inverted afresh.
+    T is inverted once, as a certified M/d with M an integer matrix; each
+    proposal is scored in integers from the O(N^2) Sherman-Morrison update
+    of M/d, uncertified (the final recomputation is certified).  A singular
+    T has no inverse, so then each T + K is inverted afresh.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -342,7 +343,7 @@ def rank_one_search(
         raise ValueError("iterations must be nonnegative")
     n = T.dim
     entries = materialize(T).entries
-    inverse, d = minmod._integer_inverse(entries)
+    inverse, d = minmod._certified_inverse(entries)
     rows = minmod._integer_matrix(entries)
     base = minmod._read_inverse(inverse, d, rows).value
 

@@ -5,8 +5,7 @@ matrix, so the builders (``identity``, ``diagonal``, ``add``, ``scale``,
 ``zero_operator``) return a ``Dense`` eagerly.  ``RankOne`` only records
 the two factors of u (x) g, the form in which perturbations are searched
 and reported; the builders and ``materialize`` take its outer product.
-The sup-operator norm is the maximal row l1 sum of the matrix, together
-with a sign-vector witness attaining it.
+The sup-operator norm is the maximal row l1 sum of the matrix.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
 of broadcasting.
@@ -78,7 +77,7 @@ class RankOne:
 
     def rows(self) -> Matrix:
         g = self.functional.coeffs
-        return tuple(tuple(u * gj for gj in g) for u in self.direction.coords)
+        return tuple(tuple(u * gj for gj in g) if u else (_ZERO,) * len(g) for u in self.direction.coords)
 
 
 Operator = Union[Dense, RankOne]
@@ -105,7 +104,7 @@ def add(*operators: Operator) -> Dense:
     if len(dims) != 1:
         raise ValueError(f"dimension mismatch in sum: {sorted(dims)}")
     return Dense(tuple(
-        tuple(sum(column, _ZERO) for column in zip(*rows))
+        tuple(sum((e for e in column if e), _ZERO) for column in zip(*rows))
         for rows in zip(*(op.rows() for op in operators))
     ))
 
@@ -123,23 +122,8 @@ def materialize(operator: Operator) -> Dense:
 
 
 def op_norm_sup(operator: Operator) -> Rational:
-    """Exact operator norm for the sup norm: max row l1 sum."""
-    return op_norm_witness(operator)[0]
+    """Exact operator norm for the sup norm: max row l1 sum.
 
-
-def op_norm_witness(operator: Operator) -> tuple[Rational, Vector]:
-    """(norm, x) with sup_norm(x) = 1 and sup_norm(T x) = norm.
-
-    x is the sign vector of the first row attaining the maximal l1 sum
-    (zero entries get +1), which makes the witness deterministic.
+    The sign vector of a maximal row (zero entries +1) attains it.
     """
-    rows = materialize(operator).entries
-    best = None
-    best_row = None
-    for i, row in enumerate(rows):
-        s = sum((abs(e) for e in row), _ZERO)
-        if best is None or s > best:
-            best = s
-            best_row = row
-    signs = tuple(_ONE if e >= 0 else -_ONE for e in best_row)
-    return best, Vector(signs)
+    return max(sum((abs(e) for e in row if e), _ZERO) for row in materialize(operator).entries)

@@ -3,9 +3,10 @@
 ``min_modulus_sup`` reads m(T) off the inverse: for invertible T with
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
-a kernel vector as witness.  One Gauss-Jordan elimination decides both.
-Read as M/d (M integer), S becomes (T + u (x) g)^-1 in O(N^2) integer
-steps by ``_rank_one_update``, so the rank-one search inverts T once.
+a kernel vector as witness.  One fraction-free elimination gives S = M/d
+in integers; A M = d diag(D) proves the lower bound and the re-verified
+witness the upper one.  From M/d, S becomes (T + u (x) g)^-1 in O(N^2)
+integer steps by ``_rank_one_update``, so the rank-one search inverts T once.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -38,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .exactnum import Rational, RationalInput, Vector, as_rational
-from .linops import Dense, Operator, add, materialize, op_norm_sup
+from .linops import Operator, add, materialize, op_norm_sup
 from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
@@ -64,42 +65,56 @@ class MinModResult:
     facet: tuple[int, int]
 
 
-def _invert(entries) -> Dense | Vector:
-    """T^-1, or a nonzero kernel vector of T when T is singular.
-
-    Gauss-Jordan on [T | I], pivoting on the first nonzero entry of each
-    column at or below the diagonal.  When column c has no pivot, columns
-    before it are reduced to unit vectors, so x_c = 1, x_r = -a[r][c]
-    (r < c) and zeros after c solve Tx = 0.
-    """
-    n = len(entries)
-    a = [list(row) + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(entries)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if a[r][c]), None)
-        if pivot is None:
-            return Vector(tuple(-a[r][c] for r in range(c)) + (_ONE,) + (_ZERO,) * (n - c - 1))
-        a[c], a[pivot] = a[pivot], a[c]
-        p = a[c][c]
-        a[c] = [e / p for e in a[c]]
-        for r in range(n):
-            f = a[r][c]
-            if r != c and f:
-                a[r] = [e - f * q for e, q in zip(a[r], a[c])]
-    return Dense(tuple(tuple(row[n:]) for row in a))
-
-
 def _integer_matrix(entries) -> tuple[list[list[int]], int]:
     """(A, D): the least common denominator D of the entries and the integer rows A = D T."""
     denominator = lcm(*(e.denominator for row in entries for e in row))
     return [[e.numerator * (denominator // e.denominator) for e in row] for row in entries], denominator
 
 
-def _integer_inverse(entries) -> tuple[list, int]:
-    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T."""
-    inverse = _invert(entries)
-    if isinstance(inverse, Vector):
-        return _integer_matrix((inverse.coords,))[0][0], 0
-    return _integer_matrix(inverse.entries)
+def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
+    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: with p the pivot of
+    column c (its first nonzero at or below the diagonal) and prev the one
+    before, every other row becomes (p a_r - a_rc a_c) / prev, an exact
+    division.  The left block ends as p I, so A R = p I for the right block
+    R and T^-1 = R diag(D) / p.  With no pivot in column c, the columns
+    before it are prev e_r, so (-a_rc for r < c, prev, 0, ...) is in the kernel.
+    """
+    n = len(rows)
+    a = [row + [0] * i + [1] + [0] * (n - i - 1) for i, row in enumerate(rows)]
+    prev = 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot is None:
+            return [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
+        a[c], a[pivot] = a[pivot], a[c]
+        p = a[c][c]
+        for r in range(n):
+            f = a[r][c]
+            if r != c and (f or p != prev):  # a row with f = 0 is still scaled by p/prev
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[c])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [[sign * x * D for x, D in zip(row[n:], denominators)] for row in a], sign * prev
+
+
+def _certified_inverse(entries) -> tuple[list, int]:
+    """``_fraction_free_inverse`` of T's integer rows A_i = D_i T_i, proved before anything reads it.
+
+    The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0; it sits
+    outside the elimination, so a wrong elimination cannot vouch for itself.
+    """
+    denominators = [lcm(*(e.denominator for e in row)) for row in entries]
+    rows = [[e.numerator * (D // e.denominator) for e in row] for row, D in zip(entries, denominators)]
+    inverse, d = _fraction_free_inverse(rows, denominators)
+    columns = list(zip(*(inverse if d else [[x] for x in inverse])))  # a kernel vector is one column
+    for i, (row, D) in enumerate(zip(rows, denominators)):
+        used = [k for k, c in enumerate(row) if c]  # row i of A M skips the zeros of A_i
+        product = [sum(row[k] * column[k] for k in used) for column in columns]
+        if product != [d * D if j == i else 0 for j in range(len(columns))] or not any(inverse):
+            raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
+    return inverse, d
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]:
@@ -125,20 +140,21 @@ def min_modulus_sup(T: Operator) -> MinModResult:
     For invertible T, with S = T^-1 and y the sign vector (zeros +1) of the
     first maximal row i* of S, m(T) = 1/||S|| with witness Sy/||S||; facet k
     attains m(T) exactly when row k of S is maximal, so i* is the lowest
-    attaining facet.  A singular T gets 0 and the kernel vector of ``_invert``
-    scaled to a first entry of largest modulus +1.  The witness is re-verified.
+    attaining facet.  A singular T gets 0 and its kernel vector scaled to a
+    first entry of largest modulus +1.  The certified inverse proves
+    m(T) >= value, and the re-verified witness m(T) <= value.
     """
     entries = materialize(T).entries
-    return _read_inverse(*_integer_inverse(entries), _integer_matrix(entries))
+    return _read_inverse(*_certified_inverse(entries), _integer_matrix(entries))
 
 
 def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = None) -> MinModResult:
     """``min_modulus_sup``'s reading of M/d, the inverse of A/D + U (x) G / e, in integers.
 
     ``base`` is (A, D), ``rank_one`` (U, G, e) or None for A/D itself; d = 0
-    marks M as a kernel vector.  With R the largest row l1 sum of M, m = |d|/R,
-    the witness is z/R with z = sign(d) M y, and the re-verification is
-    max|z| = R and max|e A z + D U (G z)| = |d| D e.
+    marks M as a kernel vector.  With R the largest row l1 sum of M, m = |d|/R
+    and the witness is z/R with z = sign(d) M y.  m >= |d|/R holds when M/d
+    is the inverse; m <= |d|/R is re-verified as max|e A z + D U (G z)| = |d| D e.
     """
     rows, denominator = base
     if d:
@@ -152,7 +168,7 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
     U, G, e = rank_one or ([0] * len(z), [], 1)
     gz = sum(gi * c for gi, c in zip(G, z))
     image = [e * sum(a * c for a, c in zip(row, z) if a) + denominator * gz * ui for row, ui in zip(rows, U)]
-    if max(map(abs, z)) != norm or max(map(abs, image)) != abs(d) * denominator * e:
+    if max(map(abs, image)) != abs(d) * denominator * e:
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
     witness = Vector(Fraction(c, norm) for c in z)
     return MinModResult(Fraction(abs(d), norm), witness, (z.index(norm) + 1, 1))

@@ -73,23 +73,44 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     return [a[r][n] for r in range(n)]
 
 
+def solve_inverse(op: Operator) -> Optional[Dense]:
+    """T^-1 built column by column with ``solve_square``; None when T is singular."""
+    rows = [list(row) for row in materialize(op).entries]
+    n = len(rows)
+    columns = [solve_square(rows, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    if None in columns:
+        return None
+    return Dense(tuple(zip(*columns)))
+
+
+def forbid_fraction_arithmetic(patch) -> None:
+    """Make every arithmetic and comparison dunder of ``Fraction`` raise, under a monkeypatch context."""
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic where only integers were expected")
+
+    for name in ("add", "sub", "mul", "truediv", "floordiv", "pow"):
+        patch.setattr(Fraction, f"__{name}__", forbidden)
+        patch.setattr(Fraction, f"__r{name}__", forbidden)
+    for name in ("abs", "neg", "lt", "le", "gt", "ge", "eq"):
+        patch.setattr(Fraction, f"__{name}__", forbidden)
+
+
 def certifies(op: Operator, result: MinModResult) -> bool:
     """Check m(T) = result.value without the simplex or the library's elimination.
 
     The witness is a unit sphere point, so sup_norm(T x) bounds m(T) from
-    above.  For invertible T, S = T^-1 is built column by column with
-    ``solve_square``, and ||x|| = ||S T x|| <= ||S|| ||T x|| bounds it from
-    below by 1/||S||, the largest row l1 sum of S; a singular T needs T x = 0.
+    above.  For invertible T, S = T^-1 comes from ``solve_inverse``, and
+    ||x|| = ||S T x|| <= ||S|| ||T x|| bounds it from below by 1/||S||, the
+    largest row l1 sum of S; a singular T needs T x = 0.
     """
     dense = materialize(op)
-    rows = [list(row) for row in dense.entries]
-    n = dense.dim
     if sup_norm(result.witness) != 1 or sup_norm(dense.apply(result.witness)) != result.value:
         return False
-    columns = [solve_square(rows, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
-    if None in columns:
+    inverse = solve_inverse(dense)
+    if inverse is None:
         return result.value == 0
-    return result.value * max(sum(abs(col[i]) for col in columns) for i in range(n)) == 1
+    return result.value * max(sum(abs(e) for e in row) for row in inverse.entries) == 1
 
 
 def enumerate_box_lp_optimum(lp: LinearProgram) -> Optional[tuple[Fraction, tuple]]:

@@ -27,7 +27,7 @@ from minmodlab.cli import (
     write_dense_operator,
 )
 from minmodlab.constructions import deflation_operator
-from minmodlab.linops import materialize, scale
+from minmodlab.linops import materialize
 
 
 def run_cli(capsys, *argv):
@@ -169,24 +169,26 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert out == ""
     assert err == "error: facet LPs give 5/7 and 5/7 on facet 1, the inverse gives 4/7\n"
 
-    # a wrong inverse yields a witness that fails re-verification against T
-    invert = minmodlab.minmod._invert
+    def doubled(function):
+        def wrapper(*args):
+            inverse, d = function(*args)
+            return [[2 * m for m in row] for row in inverse], d
+
+        return wrapper
+
+    # a wrong elimination fails the integer certificate before any value is read
+    eliminate = minmodlab.minmod._fraction_free_inverse
     with monkeypatch.context() as patch:
-        patch.setattr(minmodlab.minmod, "_invert", lambda entries: scale(2, invert(entries)))
+        patch.setattr(minmodlab.minmod, "_fraction_free_inverse", doubled(eliminate))
         code, out, err = run_cli(capsys, "minmod", "paper-t", "3")
     assert code == EXIT_CHECK_FAILED
     assert out == ""
-    assert err == "error: internal: minimum-modulus witness failed re-verification\n"
+    assert err == "error: internal: the inverse failed its certificate A M = d diag(D)\n"
 
     # a wrong rank-one update yields a proposal witness that fails re-verification
     update = minmodlab.minmod._rank_one_update
-
-    def doubled(*args):
-        inverse, d = update(*args)
-        return [[2 * m for m in row] for row in inverse], d
-
     with monkeypatch.context() as patch:
-        patch.setattr(minmodlab.minmod, "_rank_one_update", doubled)
+        patch.setattr(minmodlab.minmod, "_rank_one_update", doubled(update))
         code, out, err = run_cli(capsys, "search", "4", "--seed", "1")
     assert code == EXIT_CHECK_FAILED
     assert out == ""

@@ -29,7 +29,7 @@ from minmodlab.harness import (
 )
 from minmodlab.linops import Dense, RankOne, add, op_norm_sup
 from minmodlab.minmod import min_modulus_sup
-from support import small_fraction
+from support import forbid_fraction_arithmetic, small_fraction, solve_inverse
 
 
 # --- convergence -----------------------------------------------------------
@@ -239,7 +239,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
     for n in range(1, 7):
         for _ in range(4):
             t = _invertible_dense(rng, n)
-            inverse, d = minmod._integer_inverse(t.entries)
+            inverse, d = minmod._certified_inverse(t.entries)
             u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))
@@ -247,19 +247,19 @@ def test_rank_one_update_matches_a_fresh_inverse():
             updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
             result = minmod._read_inverse(updated, d2, minmod._integer_matrix(t.entries), rank_one)
             assert result == min_modulus_sup(perturbed)
-            sign = 1 + g(minmod._invert(t.entries).apply(u))
+            sign = 1 + g(solve_inverse(t).apply(u))
             assert (d2 < 0) == (sign < 0) and (d2 == 0) == (sign == 0)
             negative += sign < 0
             if d2:
-                fresh = minmod._invert(perturbed.entries)
+                fresh = solve_inverse(perturbed)
                 assert Dense(tuple(tuple(Fraction(m, d2) for m in row) for row in updated)) == fresh
     assert negative
 
     # 1 + g(Su) = 0: T + u (x) g is singular and Su spans its kernel
     t = _invertible_dense(rng, 4)
-    inverse, d = minmod._integer_inverse(t.entries)
+    inverse, d = minmod._certified_inverse(t.entries)
     u = Vector(["1", "-1/2", "3/4", "0"])
-    su = minmod._invert(t.entries).apply(u)
+    su = solve_inverse(t).apply(u)
     k = next(j for j, c in enumerate(su.coords, 1) if c)
     g = Covector(["1/2", "1", "-2", "1/4"])
     g = g.replace_coeff(k, g.coeff(k) - (1 + g(su)) / su.coord(k))
@@ -278,35 +278,28 @@ def test_rank_one_update_matches_a_fresh_inverse():
 
 def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
     t = deflation_operator(5)
-    inverse, d = minmod._integer_inverse(t.entries)
+    inverse, d = minmod._certified_inverse(t.entries)
     rows = minmod._integer_matrix(t.entries)
     u = Vector(["1", "-1/2", "3/8", "0", "1/4"])
     g = Covector(["1/8", "0", "-3/4", "1/2", "1/3"])
     rank_one = _integer_rank_one(u, g)
     expected = min_modulus_sup(add(t, RankOne(u, g)))
 
-    def forbidden(*args):
-        raise AssertionError("Fraction arithmetic while scoring a proposal")
-
     with monkeypatch.context() as patch:
-        for name in ("add", "sub", "mul", "truediv", "floordiv", "pow"):
-            patch.setattr(Fraction, f"__{name}__", forbidden)
-            patch.setattr(Fraction, f"__r{name}__", forbidden)
-        for name in ("abs", "neg", "lt", "le", "gt", "ge", "eq"):
-            patch.setattr(Fraction, f"__{name}__", forbidden)
+        forbid_fraction_arithmetic(patch)
         result = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), rows, rank_one)
     assert result == expected
 
 
 def test_search_inverts_an_invertible_operator_once(monkeypatch):
     calls = []
-    invert = minmod._invert
+    eliminate = minmod._fraction_free_inverse
 
-    def counted(entries):
-        calls.append(len(entries))
-        return invert(entries)
+    def counted(rows, denominators):
+        calls.append(len(rows))
+        return eliminate(rows, denominators)
 
-    monkeypatch.setattr(minmod, "_invert", counted)
+    monkeypatch.setattr(minmod, "_fraction_free_inverse", counted)
     t = deflation_operator(4)
     for iterations in (1, 7, 40):
         calls.clear()

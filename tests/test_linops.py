@@ -18,7 +18,6 @@ from minmodlab.linops import (
     identity,
     materialize,
     op_norm_sup,
-    op_norm_witness,
     scale,
     zero_operator,
 )
@@ -71,33 +70,29 @@ def test_scale_examples():
     assert op_norm_sup(scale(-2, identity(4))) == 2
 
 
+def _row_signs(row) -> Vector:
+    return Vector(tuple(1 if e >= 0 else -1 for e in row))
+
+
 def test_op_norm_examples():
     assert op_norm_sup(identity(7)) == 1
     assert op_norm_sup(zero_operator(3)) == 0
-    # max row l1: rows (1, -1/2) and (0, 1) give 3/2
-    assert op_norm_sup(Dense(((1, "-1/2"), (0, 1)))) == Fraction(3, 2)
-
-
-def test_op_norm_witness_attains():
-    value, witness = op_norm_witness(Dense(((1, "-1/2"), (0, 1))))
-    assert value == Fraction(3, 2)
-    assert sup_norm(witness) == 1
-    assert sup_norm(Dense(((1, "-1/2"), (0, 1))).apply(witness)) == value
-    # the zero operator still returns a unit witness
-    value, witness = op_norm_witness(zero_operator(2))
-    assert value == 0 and sup_norm(witness) == 1
+    # max row l1: rows (1, -1/2) and (0, 1) give 3/2, attained at the signs of row 1
+    op = Dense(((1, "-1/2"), (0, 1)))
+    assert op_norm_sup(op) == Fraction(3, 2)
+    assert sup_norm(op.apply(_row_signs(op.entries[0]))) == Fraction(3, 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 4))
-def test_op_norm_witness_is_exact(seed, n):
+def test_op_norm_sup_is_exact(seed, n):
     rng = random.Random(seed)
     op = random_structured_operator(rng, n)
-    value, witness = op_norm_witness(op)
+    value = op_norm_sup(op)
     dense = materialize(op)
-    assert sup_norm(witness) == 1
-    assert sup_norm(dense.apply(witness)) == value
-    # no sampled sphere point may beat the witness
+    # the norm is attained at the sign vector of some row
+    assert value == max(sup_norm(dense.apply(_row_signs(row))) for row in dense.entries)
+    # no sampled sphere point may beat it
     for _ in range(5):
         x = random_sphere_point(rng, n, denominator=8)
         assert sup_norm(dense.apply(x)) <= value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from minmodlab.minmod import (
     min_modulus_sup,
     perturbation_gain,
 )
-from support import certifies, random_structured_operator
+from support import (
+    certifies,
+    forbid_fraction_arithmetic,
+    random_structured_operator,
+    small_fraction,
+    solve_inverse,
+)
 
 
 def test_identity_has_minimum_modulus_one():
@@ -118,6 +125,85 @@ def test_values_carry_a_simplex_free_certificate():
             assert certifies(family.operator, min_modulus_sup(family.operator))
 
 
+def _sparse_fraction(rng: random.Random) -> Fraction:
+    # about a third of the entries are zero, so pivots have to be searched for
+    return small_fraction(rng, 4) if rng.random() < 0.7 else Fraction(0)
+
+
+def _eliminate(op: Dense) -> tuple[list, int]:
+    # the elimination's input: each row over its own least denominator
+    denominators = [lcm(*(e.denominator for e in row)) for row in op.entries]
+    rows = [[int(e * D) for e in row] for row, D in zip(op.entries, denominators)]
+    return minmodlab.minmod._fraction_free_inverse(rows, denominators)
+
+
+def test_fraction_free_inverse_matches_solve_square():
+    rng = random.Random(2026)
+    invertible = 0
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        t = Dense(tuple(tuple(_sparse_fraction(rng) for _ in range(n)) for _ in range(n)))
+        reference = solve_inverse(t)
+        inverse, d = _eliminate(t)
+        if reference is None:
+            assert d == 0
+            continue
+        invertible += 1
+        assert d > 0
+        assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == reference
+    assert invertible >= 100
+
+
+def test_fraction_free_inverse_returns_a_kernel_vector_when_singular():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        rank = rng.randint(0, n - 1)  # T = L R with L n x rank and R rank x n
+        left = [[_sparse_fraction(rng) for _ in range(rank)] for _ in range(n)]
+        right = [[_sparse_fraction(rng) for _ in range(n)] for _ in range(rank)]
+        t = Dense(tuple(
+            tuple(sum((left[i][k] * right[k][j] for k in range(rank)), Fraction(0)) for j in range(n))
+            for i in range(n)
+        ))
+        kernel, d = _eliminate(t)
+        assert d == 0 and any(kernel)
+        assert not any(t.apply(Vector(kernel)).coords)
+
+
+_DENSE = Dense(((Fraction(1, 3), Fraction(-2, 5), 1),
+                (Fraction(3, 7), 1, Fraction(-1, 9)),
+                (Fraction(-5, 3), Fraction(1, 5), Fraction(7, 3))))
+_SINGULAR = Dense(((Fraction(1, 2), 2, 0), (1, 4, 0), (0, Fraction(1, 3), 1)))
+
+
+def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
+    inverse, d = _eliminate(_DENSE)
+    off_by_one = [list(row) for row in inverse]
+    off_by_one[1][2] += 1
+    kernel, _ = _eliminate(_SINGULAR)
+    forgeries = [
+        (_DENSE, (off_by_one, d)),
+        (_DENSE, (inverse, 2 * d)),
+        (_DENSE, ([1, 0, 0], 0)),  # an invertible T has no kernel vector
+        (_SINGULAR, ([kernel[0] + 1] + kernel[1:], 0)),
+        (_SINGULAR, ([0, 0, 0], 0)),  # the zero vector is in every kernel
+    ]
+    for op, forged in forgeries:
+        monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", lambda rows, denominators: forged)
+        with pytest.raises(RuntimeError, match="certificate"):
+            minmodlab.minmod._certified_inverse(op.entries)
+
+
+def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
+    # the integer rows are read off numerators and denominators, and from
+    # there on the elimination and its certificate work in integers alone
+    cases = [deflation_operator(9), _DENSE, _SINGULAR, zero_operator(2)]
+    expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
+    with monkeypatch.context() as patch:
+        forbid_fraction_arithmetic(patch)
+        assert [minmodlab.minmod._certified_inverse(op.entries) for op in cases] == expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 10**6),
@@ -189,16 +275,13 @@ def test_oracle_brackets_are_frozen():
 
 
 def test_oracle_calls_neither_the_inverse_nor_the_lp(monkeypatch):
-    dense = Dense(((Fraction(1, 3), Fraction(-2, 5), 1),
-                   (Fraction(3, 7), 1, Fraction(-1, 9)),
-                   (Fraction(-5, 3), Fraction(1, 5), Fraction(7, 3))))
-    cases = [(deflation_operator(4), Fraction(1, 64)), (dense, Fraction(1, 32))]
+    cases = [(deflation_operator(4), Fraction(1, 64)), (_DENSE, Fraction(1, 32))]
     expected = [brute_force_min(op, h) for op, h in cases]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached another engine")
 
-    monkeypatch.setattr(minmodlab.minmod, "_invert", forbidden)
+    monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", forbidden)
     monkeypatch.setattr(minmodlab.minmod, "min_modulus_sup", forbidden)
     for module in (minmodlab.minmod, minmodlab.lpsolve):  # minmod imports both names
         monkeypatch.setattr(module, "solve", forbidden)
