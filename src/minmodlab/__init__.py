@@ -36,12 +36,6 @@ from .linops import (
     scale,
     zero_operator,
 )
-from .lpsolve import (
-    LinearProgram,
-    LPResult,
-    linear_program,
-    solve,
-)
 from .minmod import (
     BudgetExceededError,
     MinModResult,

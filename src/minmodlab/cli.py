@@ -20,6 +20,7 @@ a header timestamp and labeled 12-place decimal columns.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -402,7 +403,7 @@ _COMMANDS = (
             metavar="LP_BUDGET",
         )),
     )),
-    ("oracle", "certified sampling bracket, independent of the LP engine", _cmd_oracle, (
+    ("oracle", "certified sampling bracket, independent of the inverse and the facet LPs", _cmd_oracle, (
         ("operator_spec", dict(metavar="spec")),
         ("n", dict(type=int)),
         ("resolution", dict(metavar="h", help="resolution as an exact rational, e.g. 1/200")),
@@ -425,6 +426,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minmodlab",

@@ -17,7 +17,7 @@ splitting is for, and the tests hold the builders to it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (
@@ -130,53 +130,41 @@ class FamilyKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CounterexampleFamily:
-    """One validated section of the counterexample.
+    """One section of the counterexample, fixed by its functional f.
 
-    Invariants checked at construction: the functional vanishes on e_1 and
-    has dual norm 1 - 2^(1-dim) < 1, and operator + perturbation is the
-    identity.
+    Construction checks f: it vanishes on e_1 and has dual norm
+    1 - 2^(1-dim) < 1, with dim = len(f).  The rest is built from it:
+    ``operator`` T = I - e_1 (x) f and ``perturbation`` K = e_1 (x) f, so
+    T + K = I by construction.
     """
 
     kind: FamilyKind
-    dim: int
     functional: Covector
-    operator: Dense
-    perturbation: RankOne
+    dim: int = field(init=False)
+    operator: Dense = field(init=False)
+    perturbation: RankOne = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.functional.coeff(1) != 0:
+        f = self.functional
+        if f.coeff(1) != 0:
             raise ValueError("the functional must vanish on the first basis vector")
-        expected = _ONE - Fraction(1, 2 ** (self.dim - 1))
-        if dual_norm_l1(self.functional) != expected:
-            raise ValueError(
-                f"functional dual norm {dual_norm_l1(self.functional)} != {expected}"
-            )
-        if add(self.operator, self.perturbation) != identity(self.dim):
-            raise ValueError("operator + perturbation must be the identity")
+        expected = _ONE - Fraction(1, 2 ** (len(f) - 1))
+        if dual_norm_l1(f) != expected:
+            raise ValueError(f"functional dual norm {dual_norm_l1(f)} != {expected}")
+        object.__setattr__(self, "dim", len(f))
+        object.__setattr__(self, "operator", _deflation(f))
+        object.__setattr__(self, "perturbation", RankOne(basis_vector(1, len(f)), f))
 
 
 def c0_family(n: int) -> CounterexampleFamily:
-    """The flat n-section family (functional, deflation, repair)."""
+    """The flat n-section family of the geometric functional."""
     if n < 2:
         raise ValueError("the family needs dimension >= 2 (the tail must be nonempty)")
-    return CounterexampleFamily(
-        kind=FamilyKind.C0,
-        dim=n,
-        functional=geometric_functional(n),
-        operator=deflation_operator(n),
-        perturbation=deflation_repair(n),
-    )
+    return CounterexampleFamily(FamilyKind.C0, geometric_functional(n))
 
 
 def direct_sum_family(n: int) -> CounterexampleFamily:
     """The scalar-slot direct-sum family in total dimension n."""
     if n < 2:
         raise ValueError("the direct sum needs dimension >= 2")
-    f_y = shifted_geometric_functional(n - 1)
-    return CounterexampleFamily(
-        kind=FamilyKind.DIRECT_SUM,
-        dim=n,
-        functional=_lift(f_y),
-        operator=direct_sum_operator(f_y),
-        perturbation=direct_sum_perturbation(f_y),
-    )
+    return CounterexampleFamily(FamilyKind.DIRECT_SUM, _lift(shifted_geometric_functional(n - 1)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import Rational, RationalInput, as_rational
+from .exactnum import Rational
 
 _ZERO = Fraction(0)
 
@@ -50,43 +50,27 @@ class LinearProgram:
 
 
 def linear_program(
-    objective: Iterable[RationalInput],
+    objective: Sequence[Rational],
     constraints: Iterable[tuple],
-    bounds: Sequence[tuple[RationalInput, RationalInput]],
+    bounds: Sequence[tuple[Rational, Rational]],
 ) -> LinearProgram:
-    """Validated constructor; constraints are (coeffs, rhs) pairs meaning coeffs . x <= rhs.
+    """The program on ``Fraction`` data; constraints are (coeffs, rhs) pairs meaning coeffs . x <= rhs.
 
-    Raises ``ValueError`` when a bound is missing or empty, a width is
-    wrong, or the corner x = lower violates a row.
+    The data are taken as given, not coerced or re-checked:
+    ``_facet_minimum`` builds them from a validated operator, all
+    Fractions, one bound pair per variable and rows of full width.  The one
+    check kept is the one the simplex needs: ``ValueError`` when the corner
+    x = lower violates a row.  An empty interval lower > upper passes here
+    and fails ``solve``'s verification.
     """
-    obj = tuple(as_rational(c) for c in objective)
-    n = len(obj)
-    if n == 0:
-        raise ValueError("a program needs at least one variable")
-    if len(bounds) != n:
-        raise ValueError(f"got {len(bounds)} bound pairs, expected {n}")
-    lower = []
-    upper = []
-    for lo, up in bounds:
-        if lo is None or up is None:
-            raise ValueError("every variable bound must be finite")
-        lo_r = as_rational(lo)
-        up_r = as_rational(up)
-        if lo_r > up_r:
-            raise ValueError(f"empty bound interval [{lo_r}, {up_r}]")
-        lower.append(lo_r)
-        upper.append(up_r)
+    lower = tuple(lo for lo, _ in bounds)
     rows = []
     for i, (coeffs, rhs) in enumerate(constraints, 1):
-        crow = tuple(as_rational(c) for c in coeffs)
-        if len(crow) != n:
-            raise ValueError(f"constraint has {len(crow)} coefficients, expected {n}")
-        rhs_r = as_rational(rhs)
-        slack = rhs_r - _dot(crow, lower)
+        slack = rhs - _dot(coeffs, lower)
         if slack < 0:
             raise ValueError(f"row {i} is violated at the start corner x = lower")
-        rows.append(Constraint(crow, rhs_r, slack))
-    return LinearProgram(obj, tuple(rows), tuple(lower), tuple(upper))
+        rows.append(Constraint(tuple(coeffs), rhs, slack))
+    return LinearProgram(tuple(objective), tuple(rows), lower, tuple(up for _, up in bounds))
 
 
 @dataclass(frozen=True)

@@ -242,7 +242,7 @@ class OracleResult:
 def brute_force_min(
     T: Operator, h: RationalInput, *, point_budget: int = ORACLE_POINT_BUDGET
 ) -> OracleResult:
-    """Certified sampling bracket for m(T), independent of the LP route.
+    """Certified sampling bracket for m(T), independent of the inverse and the facet LPs.
 
     Explores each facet {x_k = 1} by box bisection: exact interval bounds
     retire regions that provably cannot beat the best evaluated point, and
@@ -350,13 +350,10 @@ def brute_force_min(
             pending.append((level, [m - d for m, d in zip(mid, shift)], radius, width))
             pending.append((level, [m + d for m, d in zip(mid, shift)], radius, width))
 
-    upper = Fraction(upper_num, upper_den)
-    lower = Fraction(lower_num, lower_den)
-    if lower > upper:
-        lower = upper
+    # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper
     return OracleResult(
-        upper=upper,
-        lower=lower,
+        upper=Fraction(upper_num, upper_den),
+        lower=Fraction(lower_num, lower_den),
         resolution=step,
         lipschitz=lipschitz,
         covering_radius=step / 2,

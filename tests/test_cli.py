@@ -22,6 +22,7 @@ from minmodlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     build_operator,
+    build_parser,
     main,
     read_dense_operator,
     write_dense_operator,
@@ -440,6 +441,10 @@ def test_argparse_usage_errors(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, "--help")[0] == EXIT_OK
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 # --- the whole argument grammar ----------------------------------------------------

@@ -32,7 +32,7 @@ from minmodlab.exactnum import (
     vector,
     zero_vector,
 )
-from minmodlab.linops import add, identity, materialize, scale
+from minmodlab.linops import add, identity, materialize
 from minmodlab.minmod import min_modulus_sup
 
 
@@ -158,43 +158,22 @@ def test_families_validate_and_expose_their_parts():
     assert split.kind is FamilyKind.DIRECT_SUM
     assert materialize(split.operator).entries == materialize(flat.operator).entries
 
+    for n in range(2, 9):
+        for family in (c0_family(n), direct_sum_family(n)):
+            assert family.dim == n
+            assert add(family.operator, family.perturbation) == identity(n)
+
 
 def test_family_rejects_a_corrupted_functional():
-    good = c0_family(4)
-    bad = good.functional.replace_coeff(2, Fraction(1, 3))
+    bad = geometric_functional(4).replace_coeff(2, Fraction(1, 3))
     with pytest.raises(ValueError):
-        CounterexampleFamily(
-            kind=FamilyKind.C0,
-            dim=4,
-            functional=bad,
-            operator=good.operator,
-            perturbation=good.perturbation,
-        )
-
-
-def test_family_rejects_a_repair_that_misses_the_identity():
-    good = c0_family(4)
-    with pytest.raises(ValueError):
-        CounterexampleFamily(
-            kind=FamilyKind.C0,
-            dim=4,
-            functional=good.functional,
-            operator=good.operator,
-            perturbation=scale(Fraction(1, 2), deflation_repair(4)),
-        )
+        CounterexampleFamily(FamilyKind.C0, bad)
 
 
 def test_family_rejects_nonvanishing_first_slot():
-    good = c0_family(4)
-    shifted = Covector((Fraction(1, 8),) + good.functional.coeffs[1:])
+    shifted = Covector((Fraction(1, 8),) + geometric_functional(4).coeffs[1:])
     with pytest.raises(ValueError):
-        CounterexampleFamily(
-            kind=FamilyKind.C0,
-            dim=4,
-            functional=shifted,
-            operator=good.operator,
-            perturbation=good.perturbation,
-        )
+        CounterexampleFamily(FamilyKind.C0, shifted)
 
 
 def test_family_dimension_floor():
