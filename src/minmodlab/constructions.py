@@ -28,7 +28,7 @@ from .exactnum import (
     dual_norm_l1,
     sup_norm,
 )
-from .linops import Dense, RankOne, add, identity
+from .linops import Dense, RankOne
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,9 +58,10 @@ def shifted_geometric_functional(m: int) -> Covector:
 
 
 def _deflation(f: Covector) -> Dense:
-    """I - e_1 (x) f as a dense matrix on the section of f."""
+    """I - e_1 (x) f as a dense matrix on the section of f: row 1 is e_1 - f, the rest are unit rows."""
     n = len(f)
-    return add(identity(n), RankOne(-basis_vector(1, n), f))
+    first = (_ONE - f.coeffs[0],) + tuple(-c for c in f.coeffs[1:])
+    return Dense((first,) + tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(1, n)))
 
 
 def deflation_operator(n: int) -> Dense:

@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -47,8 +48,8 @@ SCHEMA_VERSION = 1
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-_SEARCH_INITIAL_STEP = Fraction(1, 2)
-_SEARCH_MIN_STEP = Fraction(1, 64)
+_SEARCH_INITIAL_SHIFT = 1  # the search step is 2^-shift: 1/2 at the start
+_SEARCH_MAX_SHIFT = 6  # and a restart below 1/64
 
 LP_DIMENSION_BUDGET = 64  # largest section the convergence study and the CLI attempt
 SEARCH_ITERATIONS = 200
@@ -311,6 +312,12 @@ def _zero_rank_one(n: int) -> RankOne:
     return RankOne(Vector((_ONE,) + (_ZERO,) * (n - 1)), Covector((_ZERO,) * n))
 
 
+def _lowest(V: list, e: int) -> tuple[list, int]:
+    """V/e in lowest terms, with e > 0."""
+    h = gcd(*V, e)
+    return ([c // h for c in V], e // h) if h != 1 else (V, e)
+
+
 def rank_one_search(
     T: Operator,
     norm_budget: RationalInput,
@@ -331,10 +338,12 @@ def rank_one_search(
     outcomes, and the reported score is recomputed from the returned
     perturbation alone.
 
-    T is inverted once, as a certified M/d with M an integer matrix; each
-    proposal is scored in integers from the O(N^2) Sherman-Morrison update
-    of M/d, uncertified (the final recomputation is certified).  A singular
-    T has no inverse, so then each T + K is inverted afresh.
+    T is inverted once, as a certified M/d.  The state is integers, u = U/e_u
+    and g = G/e_g in lowest terms, and the step is 2^-shift.  A proposal is
+    the O(N^2) Sherman-Morrison update of M/d by U (x) G / (e_u e_g), read
+    as (|d|, R) with m = |d|/R, its witness re-verified; scores are compared
+    by cross-multiplying, and the final recomputation is certified.  A
+    singular T has no inverse, so then each T + K is inverted afresh.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -342,17 +351,15 @@ def rank_one_search(
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
     n = T.dim
-    entries = materialize(T).entries
-    inverse, d = minmod._certified_inverse(entries)
-    rows = minmod._integer_matrix(entries)
-    base = minmod._read_inverse(inverse, d, rows).value
+    inverse, d, base = minmod._certified_inverse(materialize(T).entries)
+    base_value = Fraction(*minmod._read_inverse(inverse, d, base)[:2])
 
     if budget == 0 or iterations == 0:
         return SearchOutcome(
             perturbation=_zero_rank_one(n),
             norm=_ZERO,
-            base_value=base,
-            perturbed_value=base,
+            base_value=base_value,
+            perturbed_value=base_value,
             gain=_ZERO,
             iterations=0,
             seed=seed,
@@ -361,79 +368,91 @@ def rank_one_search(
 
     rng = random.Random(seed)
     evaluations = 0
+    p, q = budget.numerator, budget.denominator
 
-    def normalized(u: tuple, g: tuple):
-        peak = max(abs(c) for c in u)  # nonzero: a step of at most 1/2 cannot cancel a peak of 1
-        if peak != 1:
-            u = tuple(c / peak for c in u)
-            g = tuple(c * peak for c in g)
-        weight = sum((abs(c) for c in g), _ZERO)
-        if weight > budget:
-            shrink = budget / weight
-            g = tuple(c * shrink for c in g)
-        return u, g
+    def rank_one(U, e_u, G, e_g) -> RankOne:
+        return RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G))
 
-    def score(u: tuple, g: tuple) -> Rational:
+    def normalized(U, e_u, G, e_g) -> tuple:
+        peak = max(map(abs, U))  # nonzero: a step of at most 1/2 cannot cancel a peak of 1
+        if peak != e_u:  # u / sup_norm(u) = U / peak and g sup_norm(u) = G peak / (e_u e_g)
+            G, e_g, e_u = [c * peak for c in G], e_g * e_u, peak
+        weight = sum(map(abs, G))
+        if weight * q > p * e_g:  # l1(g) > p/q: g p / (q l1(g)) = G p / (q weight)
+            G, e_g = [c * p for c in G], q * weight
+        return (*_lowest(U, e_u), *_lowest(G, e_g))
+
+    def score(state) -> tuple[int, int]:
         nonlocal evaluations
         evaluations += 1
         if not d:  # T is singular: no inverse to update
-            return min_modulus_sup(add(T, RankOne(Vector(u), Covector(g)))).value
-        (U, G), common = minmod._integer_matrix((u, g))
-        rank_one = (U, G, common * common)
-        return minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), rows, rank_one).value
+            value = min_modulus_sup(add(T, rank_one(*state))).value
+            return value.numerator, value.denominator
+        U, e_u, G, e_g = state
+        update = (U, G, e_u * e_g)
+        return minmod._read_inverse(*minmod._rank_one_update(inverse, d, update), base, update)[:2]
 
-    def random_state():
+    def beats(s, t) -> bool:
+        return s[0] * t[1] > t[0] * s[1]
+
+    def random_state() -> tuple:
         while True:
-            u = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(n))
-            g = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(n))
-            if any(u) and any(g):
-                return normalized(u, g)
+            U = [rng.randint(-8, 8) for _ in range(n)]
+            G = [rng.randint(-8, 8) for _ in range(n)]
+            if any(U) and any(G):
+                return normalized(U, 8, G, 8)
 
-    u, g = random_state()
-    current = score(u, g)
-    best_u, best_g, best_score = u, g, current
-    step = _SEARCH_INITIAL_STEP
+    state = random_state()
+    current = score(state)
+    best_state, best_score = state, current
+    shift = _SEARCH_INITIAL_SHIFT
     stall = 0
     round_length = 2 * n
 
     for it in range(iterations):
         slot = it % round_length  # u_1..u_n, then g_1..g_n
+        U, e_u, G, e_g = state
         chosen, chosen_score = None, current
         for sgn in (1, -1):
-            moved = list(u + g)
-            moved[slot] += sgn * step
-            state = normalized(tuple(moved[:n]), tuple(moved[n:]))
-            s = score(*state)
-            if s > chosen_score:
-                chosen, chosen_score = state, s
+            if slot < n:  # u + sgn 2^-shift e_slot = (U 2^shift + sgn e_u e_slot) / (e_u 2^shift)
+                moved = [c << shift for c in U]
+                moved[slot] += sgn * e_u
+                proposal = normalized(moved, e_u << shift, G, e_g)
+            else:
+                moved = [c << shift for c in G]
+                moved[slot - n] += sgn * e_g
+                proposal = normalized(U, e_u, moved, e_g << shift)
+            s = score(proposal)
+            if beats(s, chosen_score):
+                chosen, chosen_score = proposal, s
         if chosen is not None:
-            u, g = chosen
+            state = chosen
             current = chosen_score
             stall = 0
         else:
             stall += 1
             if stall >= round_length:
                 stall = 0
-                step = step / 2
-                if step < _SEARCH_MIN_STEP:
-                    u, g = random_state()
-                    current = score(u, g)
-                    step = _SEARCH_INITIAL_STEP
-        if current > best_score:
-            best_u, best_g, best_score = u, g, current
+                shift += 1
+                if shift > _SEARCH_MAX_SHIFT:
+                    state = random_state()
+                    current = score(state)
+                    shift = _SEARCH_INITIAL_SHIFT
+        if beats(current, best_score):
+            best_state, best_score = state, current
 
-    perturbation = RankOne(Vector(best_u), Covector(best_g))
-    if best_score < base:
-        perturbation, best_score = _zero_rank_one(n), base
+    perturbation, best_value = rank_one(*best_state), Fraction(*best_score)
+    if best_value < base_value:
+        perturbation, best_value = _zero_rank_one(n), base_value
     recomputed = min_modulus_sup(add(T, perturbation)).value
-    if recomputed != best_score:
+    if recomputed != best_value:
         raise InvariantViolation("search score disagrees with its recomputation")
     return SearchOutcome(
         perturbation=perturbation,
         norm=op_norm_sup(perturbation),
-        base_value=base,
+        base_value=base_value,
         perturbed_value=recomputed,
-        gain=recomputed - base,
+        gain=recomputed - base_value,
         iterations=iterations,
         seed=seed,
         evaluations=evaluations,

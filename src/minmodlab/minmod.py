@@ -99,11 +99,12 @@ def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
     return [[sign * x * D for x, D in zip(row[n:], denominators)] for row in a], sign * prev
 
 
-def _certified_inverse(entries) -> tuple[list, int]:
+def _certified_inverse(entries) -> tuple[list, int, tuple]:
     """``_fraction_free_inverse`` of T's integer rows A_i = D_i T_i, proved before anything reads it.
 
     The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0; it sits
     outside the elimination, so a wrong elimination cannot vouch for itself.
+    Also returns T over one denominator, base = (A_i D / D_i, D) with D = lcm(D_i).
     """
     denominators = [lcm(*(e.denominator for e in row)) for row in entries]
     rows = [[e.numerator * (D // e.denominator) for e in row] for row, D in zip(entries, denominators)]
@@ -114,7 +115,8 @@ def _certified_inverse(entries) -> tuple[list, int]:
         product = [sum(row[k] * column[k] for k in used) for column in columns]
         if product != [d * D if j == i else 0 for j in range(len(columns))] or not any(inverse):
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
-    return inverse, d
+    common = lcm(*denominators)
+    return inverse, d, ([[a * (common // D) for a in row] for row, D in zip(rows, denominators)], common)
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]:
@@ -144,17 +146,18 @@ def min_modulus_sup(T: Operator) -> MinModResult:
     first entry of largest modulus +1.  The certified inverse proves
     m(T) >= value, and the re-verified witness m(T) <= value.
     """
-    entries = materialize(T).entries
-    return _read_inverse(*_certified_inverse(entries), _integer_matrix(entries))
+    value, norm, z = _read_inverse(*_certified_inverse(materialize(T).entries))
+    return MinModResult(Fraction(value, norm), Vector(Fraction(c, norm) for c in z), (z.index(norm) + 1, 1))
 
 
-def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = None) -> MinModResult:
-    """``min_modulus_sup``'s reading of M/d, the inverse of A/D + U (x) G / e, in integers.
+def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = None) -> tuple[int, int, list]:
+    """(|d|, R, z): m = |d|/R with witness z/R, read off M/d, the inverse of A/D + U (x) G / e.
 
     ``base`` is (A, D), ``rank_one`` (U, G, e) or None for A/D itself; d = 0
-    marks M as a kernel vector.  With R the largest row l1 sum of M, m = |d|/R
-    and the witness is z/R with z = sign(d) M y.  m >= |d|/R holds when M/d
-    is the inverse; m <= |d|/R is re-verified as max|e A z + D U (G z)| = |d| D e.
+    marks M as a kernel vector.  R is M's largest row l1 sum, z = sign(d) M y
+    for the signs y of that row of M/d.  m >= |d|/R holds when M/d is the
+    inverse; m <= |d|/R is re-verified as max|e A z + D U (G z)| = |d| D e.
+    ``min_modulus_sup`` builds the witness; the search reads (|d|, R) alone.
     """
     rows, denominator = base
     if d:
@@ -170,8 +173,7 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
     image = [e * sum(a * c for a, c in zip(row, z) if a) + denominator * gz * ui for row, ui in zip(rows, U)]
     if max(map(abs, image)) != abs(d) * denominator * e:
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
-    witness = Vector(Fraction(c, norm) for c in z)
-    return MinModResult(Fraction(abs(d), norm), witness, (z.index(norm) + 1, 1))
+    return abs(d), norm, z
 
 
 def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> Rational:

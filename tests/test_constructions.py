@@ -32,7 +32,7 @@ from minmodlab.exactnum import (
     vector,
     zero_vector,
 )
-from minmodlab.linops import add, identity, materialize
+from minmodlab.linops import RankOne, add, identity, materialize
 from minmodlab.minmod import min_modulus_sup
 
 
@@ -69,6 +69,18 @@ def test_deflation_matrix_at_dimension_two():
         (1, Fraction(-1, 2)),
         (0, 1),
     )
+
+
+def test_direct_builders_match_the_sum_of_identity_and_rank_one():
+    # T = I - e_1 (x) f is written row by row; the sum it replaces is the reference
+    for n in range(1, 13):
+        f = geometric_functional(n)
+        assert deflation_operator(n) == add(identity(n), RankOne(-basis_vector(1, n), f))
+    for n in range(2, 13):
+        f = Covector((0,) + shifted_geometric_functional(n - 1).coeffs)
+        assert direct_sum_operator(shifted_geometric_functional(n - 1)) == add(
+            identity(n), RankOne(-basis_vector(1, n), f)
+        )
 
 
 def test_repair_applies_as_expected():

@@ -28,7 +28,7 @@ from minmodlab.harness import (
     weak_null_test,
 )
 from minmodlab.linops import Dense, RankOne, add, op_norm_sup
-from minmodlab.minmod import min_modulus_sup
+from minmodlab.minmod import MinModResult, min_modulus_sup
 from support import forbid_fraction_arithmetic, small_fraction, solve_inverse
 
 
@@ -220,6 +220,25 @@ def test_search_outcomes_are_frozen():
     )
 
 
+def test_search_outcomes_across_budgets_are_frozen():
+    # budgets inside and beyond a fresh state's l1 cap, on random dense T and the deflation,
+    # long enough that the step underflows and a random restart runs
+    rng = random.Random(3)
+    outcomes = [
+        rank_one_search(_invertible_dense(rng, n), budget, seed=rng.randrange(2**32), iterations=60)
+        for n in (2, 3, 4, 5)
+        for budget in (Fraction(3, 4), Fraction(1, 3), Fraction(2))
+    ]
+    outcomes += [
+        rank_one_search(deflation_operator(n), budget, seed=n, iterations=60)
+        for n in (2, 3)
+        for budget in (Fraction(3, 4), Fraction(1, 3), Fraction(2))
+    ]
+    assert _outcomes_digest(outcomes) == (
+        "f687bee6ae8045bfd62317bdb47e62c2fc9cc7d597eee2f37ad3baac7f3d2e76"
+    )
+
+
 def _invertible_dense(rng: random.Random, n: int) -> Dense:
     while True:
         t = Dense(tuple(tuple(small_fraction(rng, 4) for _ in range(n)) for _ in range(n)))
@@ -233,20 +252,25 @@ def _integer_rank_one(u: Vector, g: Covector) -> tuple:
     return U, G, du * dg
 
 
+def _result(value: int, norm: int, z: list) -> MinModResult:
+    """What ``min_modulus_sup`` builds from the reader's (|d|, R, z)."""
+    return MinModResult(Fraction(value, norm), Vector(Fraction(c, norm) for c in z), (z.index(norm) + 1, 1))
+
+
 def test_rank_one_update_matches_a_fresh_inverse():
     rng = random.Random(20)
     negative = 0  # draws with 1 + g(Su) < 0, where d' = d (d e + G a) is negative
     for n in range(1, 7):
         for _ in range(4):
             t = _invertible_dense(rng, n)
-            inverse, d = minmod._certified_inverse(t.entries)
+            inverse, d, base = minmod._certified_inverse(t.entries)
+            assert base == minmod._integer_matrix(t.entries)  # T over one denominator
             u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))
             rank_one = _integer_rank_one(u, g)
             updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
-            result = minmod._read_inverse(updated, d2, minmod._integer_matrix(t.entries), rank_one)
-            assert result == min_modulus_sup(perturbed)
+            assert _result(*minmod._read_inverse(updated, d2, base, rank_one)) == min_modulus_sup(perturbed)
             sign = 1 + g(solve_inverse(t).apply(u))
             assert (d2 < 0) == (sign < 0) and (d2 == 0) == (sign == 0)
             negative += sign < 0
@@ -257,7 +281,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
 
     # 1 + g(Su) = 0: T + u (x) g is singular and Su spans its kernel
     t = _invertible_dense(rng, 4)
-    inverse, d = minmod._certified_inverse(t.entries)
+    inverse, d, base = minmod._certified_inverse(t.entries)
     u = Vector(["1", "-1/2", "3/4", "0"])
     su = solve_inverse(t).apply(u)
     k = next(j for j, c in enumerate(su.coords, 1) if c)
@@ -271,15 +295,14 @@ def test_rank_one_update_matches_a_fresh_inverse():
     (U,), du = minmod._integer_matrix((u.coords,))
     assert Vector(kernel) == (d * du) * su
     assert perturbed.apply(Vector(kernel)) == Vector([0] * 4)
-    result = minmod._read_inverse(kernel, d2, minmod._integer_matrix(t.entries), rank_one)
-    assert result.value == 0
-    assert result == min_modulus_sup(perturbed)
+    value, norm, z = minmod._read_inverse(kernel, d2, base, rank_one)
+    assert value == 0
+    assert _result(value, norm, z) == min_modulus_sup(perturbed)
 
 
 def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
     t = deflation_operator(5)
-    inverse, d = minmod._certified_inverse(t.entries)
-    rows = minmod._integer_matrix(t.entries)
+    inverse, d, base = minmod._certified_inverse(t.entries)
     u = Vector(["1", "-1/2", "3/8", "0", "1/4"])
     g = Covector(["1/8", "0", "-3/4", "1/2", "1/3"])
     rank_one = _integer_rank_one(u, g)
@@ -287,8 +310,30 @@ def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
 
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
-        result = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), rows, rank_one)
-    assert result == expected
+        core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), base, rank_one)
+    assert _result(*core) == expected
+
+
+def test_search_proposals_read_the_perturbed_minimum_modulus(monkeypatch):
+    # every proposal the search scores from the update: |d|/R is m(T + U (x) G / e)
+    proposals = []
+    read = minmod._read_inverse
+
+    def recorded(inverse, d, base, rank_one=None):
+        core = read(inverse, d, base, rank_one)
+        if rank_one is not None:
+            proposals.append((rank_one, core))
+        return core
+
+    monkeypatch.setattr(minmod, "_read_inverse", recorded)
+    rng = random.Random(5)
+    for t, budget in [(deflation_operator(3), Fraction(3, 4)), (_invertible_dense(rng, 4), Fraction(2))]:
+        proposals.clear()
+        outcome = rank_one_search(t, budget, seed=8, iterations=30)
+        assert len(proposals) == outcome.evaluations
+        for (U, G, e), (value, norm, _) in proposals:
+            k = RankOne(Vector(Fraction(c, e) for c in U), Covector(G))
+            assert Fraction(value, norm) == min_modulus_sup(add(t, k)).value
 
 
 def test_search_inverts_an_invertible_operator_once(monkeypatch):
