@@ -14,15 +14,10 @@ from .exactnum import (
     Vector,
     as_rational,
     basis_vector,
-    covector,
     dual_norm_l1,
-    evaluate,
     format_rational,
     parse_rational,
-    rat,
     sup_norm,
-    vector,
-    zero_vector,
 )
 from .linops import (
     Dense,
@@ -34,7 +29,6 @@ from .linops import (
     materialize,
     op_norm_sup,
     scale,
-    zero_operator,
 )
 from .minmod import (
     BudgetExceededError,
@@ -51,6 +45,7 @@ from .constructions import (
     FamilyKind,
     c0_family,
     closed_form_min_modulus,
+    deflation,
     deflation_operator,
     deflation_repair,
     direct_sum_family,

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .constructions import (
     c0_family,
     closed_form_min_modulus,
+    deflation,
     deflation_operator,
     deflation_repair,
     direct_sum_operator,
@@ -181,9 +182,8 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
             functional = _corrupted_functional(n)
         else:
             functional = geometric_functional(n)
-        e1 = basis_vector(1, n)
-        operator = add(identity(n), RankOne(-e1, functional))
-        repair = RankOne(e1, functional)
+        operator = deflation(functional)
+        repair = RankOne(basis_vector(1, n), functional)
 
         record(
             f"functional-dual-norm[{n}]",

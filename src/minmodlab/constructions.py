@@ -57,7 +57,7 @@ def shifted_geometric_functional(m: int) -> Covector:
     return Covector(tuple(Fraction(1, 2**j) for j in range(1, m + 1)))
 
 
-def _deflation(f: Covector) -> Dense:
+def deflation(f: Covector) -> Dense:
     """I - e_1 (x) f as a dense matrix on the section of f: row 1 is e_1 - f, the rest are unit rows."""
     n = len(f)
     first = (_ONE - f.coeffs[0],) + tuple(-c for c in f.coeffs[1:])
@@ -70,7 +70,7 @@ def deflation_operator(n: int) -> Dense:
     The rank-one factors of the deflated part are those of
     :func:`deflation_repair`.
     """
-    return _deflation(geometric_functional(n))
+    return deflation(geometric_functional(n))
 
 
 def deflation_repair(n: int) -> RankOne:
@@ -108,7 +108,7 @@ def direct_sum_operator(f_y: Covector) -> Dense:
     The section has dimension 1 + len(f_y); the functional is lifted to
     ignore the scalar slot.
     """
-    return _deflation(_lift(f_y))
+    return deflation(_lift(f_y))
 
 
 def direct_sum_perturbation(f_y: Covector) -> RankOne:
@@ -153,7 +153,7 @@ class CounterexampleFamily:
         if dual_norm_l1(f) != expected:
             raise ValueError(f"functional dual norm {dual_norm_l1(f)} != {expected}")
         object.__setattr__(self, "dim", len(f))
-        object.__setattr__(self, "operator", _deflation(f))
+        object.__setattr__(self, "operator", deflation(f))
         object.__setattr__(self, "perturbation", RankOne(basis_vector(1, len(f)), f))
 
 

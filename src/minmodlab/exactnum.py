@@ -25,11 +25,6 @@ RationalInput = Union[Rational, int, str]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
-def rat(p: int, q: int = 1) -> Rational:
-    """Reduced rational p/q with positive denominator; rejects q = 0."""
-    return Fraction(p, q)
-
-
 def as_rational(value: RationalInput) -> Rational:
     """Coerce an int, Fraction, or ``p/q`` string to an exact rational.
 
@@ -149,26 +144,14 @@ class Covector(_Entries):
     replace_coeff = _Entries._replace
 
     def __call__(self, x: Vector) -> Rational:
-        return evaluate(self, x)
+        """Exact pairing g(x) = sum_j g_j x_j; lengths must agree."""
+        _check_same_length(self, x)
+        return sum((a * b for a, b in zip(self.coeffs, x.coords)), Fraction(0))
 
 
 def _check_same_length(a, b) -> None:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
-def vector(values: Iterable[RationalInput]) -> Vector:
-    return Vector(tuple(values))
-
-
-def covector(values: Iterable[RationalInput]) -> Covector:
-    return Covector(tuple(values))
-
-
-def zero_vector(n: int) -> Vector:
-    if n < 1:
-        raise ValueError("sections have dimension >= 1")
-    return Vector((Fraction(0),) * n)
 
 
 def basis_vector(j: int, n: int) -> Vector:
@@ -186,9 +169,3 @@ def sup_norm(x: Vector) -> Rational:
 def dual_norm_l1(g: Covector) -> Rational:
     """sum_j |g_j| — the exact functional norm on a sup-norm section."""
     return sum((abs(c) for c in g.coeffs), Fraction(0))
-
-
-def evaluate(g: Covector, x: Vector) -> Rational:
-    """Exact pairing g(x) = sum_j g_j x_j; lengths must agree."""
-    _check_same_length(g, x)
-    return sum((a * b for a, b in zip(g.coeffs, x.coords)), Fraction(0))

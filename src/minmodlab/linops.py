@@ -1,10 +1,10 @@
 """Square operators on N-sections.
 
 ``Dense`` is the lab's one operator type: both engines read rows of a
-matrix, so the builders (``identity``, ``diagonal``, ``add``, ``scale``,
-``zero_operator``) return a ``Dense`` eagerly.  ``RankOne`` only records
-the two factors of u (x) g, the form in which perturbations are searched
-and reported; the builders and ``materialize`` take its outer product.
+matrix, so the builders (``identity``, ``diagonal``, ``add``, ``scale``)
+return a ``Dense`` eagerly.  ``RankOne`` only records the two factors of
+u (x) g, the form in which perturbations are searched and reported; the
+builders and ``materialize`` take its outer product.
 The sup-operator norm is the maximal row l1 sum of the matrix.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
@@ -92,10 +92,6 @@ def diagonal(values: Iterable[RationalInput]) -> Dense:
 
 def identity(n: int) -> Dense:
     return diagonal((_ONE,) * n)
-
-
-def zero_operator(n: int) -> Dense:
-    return diagonal((_ZERO,) * n)
 
 
 def add(*operators: Operator) -> Dense:

@@ -104,7 +104,7 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
 
     The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0; it sits
     outside the elimination, so a wrong elimination cannot vouch for itself.
-    Also returns T over one denominator, base = (A_i D / D_i, D) with D = lcm(D_i).
+    Also returns the certified rows with their denominators as base = (A, D).
     """
     denominators = [lcm(*(e.denominator for e in row)) for row in entries]
     rows = [[e.numerator * (D // e.denominator) for e in row] for row, D in zip(entries, denominators)]
@@ -115,8 +115,7 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
         product = [sum(row[k] * column[k] for k in used) for column in columns]
         if product != [d * D if j == i else 0 for j in range(len(columns))] or not any(inverse):
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
-    common = lcm(*denominators)
-    return inverse, d, ([[a * (common // D) for a in row] for row, D in zip(rows, denominators)], common)
+    return inverse, d, (rows, denominators)
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]:
@@ -153,13 +152,14 @@ def min_modulus_sup(T: Operator) -> MinModResult:
 def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = None) -> tuple[int, int, list]:
     """(|d|, R, z): m = |d|/R with witness z/R, read off M/d, the inverse of A/D + U (x) G / e.
 
-    ``base`` is (A, D), ``rank_one`` (U, G, e) or None for A/D itself; d = 0
-    marks M as a kernel vector.  R is M's largest row l1 sum, z = sign(d) M y
-    for the signs y of that row of M/d.  m >= |d|/R holds when M/d is the
-    inverse; m <= |d|/R is re-verified as max|e A z + D U (G z)| = |d| D e.
+    ``base`` is (A, D), the rows A_i = D_i T_i with their denominators D_i,
+    ``rank_one`` (U, G, e) or None for A/D itself; d = 0 marks M as a kernel
+    vector.  R is M's largest row l1 sum, z = sign(d) M y for the signs y of
+    that row of M/d.  m >= |d|/R holds when M/d is the inverse; m <= |d|/R is
+    re-verified row by row as max_i(|e A_i z + D_i U_i (G z)| - |d| D_i e) = 0.
     ``min_modulus_sup`` builds the witness; the search reads (|d|, R) alone.
     """
-    rows, denominator = base
+    rows, denominators = base
     if d:
         sums = [sum(map(abs, row)) for row in inverse]
         norm = max(sums)
@@ -170,8 +170,9 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
         norm, z = abs(peak), [c if peak > 0 else -c for c in inverse]
     U, G, e = rank_one or ([0] * len(z), [], 1)
     gz = sum(gi * c for gi, c in zip(G, z))
-    image = [e * sum(a * c for a, c in zip(row, z) if a) + denominator * gz * ui for row, ui in zip(rows, U)]
-    if max(map(abs, image)) != abs(d) * denominator * e:
+    excess = (abs(e * sum(a * c for a, c in zip(row, z) if a) + D * ui * gz) - abs(d) * D * e
+              for row, D, ui in zip(rows, denominators, U))
+    if max(excess):
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
     return abs(d), norm, z
 

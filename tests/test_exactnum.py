@@ -13,27 +13,13 @@ from minmodlab.exactnum import (
     Vector,
     as_rational,
     basis_vector,
-    covector,
     dual_norm_l1,
-    evaluate,
     format_rational,
     parse_rational,
-    rat,
     sup_norm,
-    vector,
-    zero_vector,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
-
-
-def test_rat_canonicalizes():
-    assert rat(2, 4) == Fraction(1, 2)
-    assert rat(1, -2) == Fraction(-1, 2)
-    assert rat(1, -2).denominator == 2
-    assert rat(0, 7) == 0
-    with pytest.raises(ZeroDivisionError):
-        rat(1, 0)
 
 
 def test_as_rational_accepts_exact_inputs():
@@ -66,46 +52,45 @@ def test_rational_roundtrip(q):
 
 
 def test_sup_norm_examples():
-    assert sup_norm(vector([1, "-1/2", "1/4"])) == 1
-    assert sup_norm(zero_vector(5)) == 0
-    assert sup_norm(vector(["1/3", "-2/3"])) == Fraction(2, 3)
+    assert sup_norm(Vector([1, "-1/2", "1/4"])) == 1
+    assert sup_norm(Vector([0] * 5)) == 0
+    assert sup_norm(Vector(["1/3", "-2/3"])) == Fraction(2, 3)
 
 
 def test_dual_norm_examples():
-    assert dual_norm_l1(covector([0, "1/2", "1/4"])) == Fraction(3, 4)
-    assert dual_norm_l1(covector([0, 0, 0])) == 0
-    assert dual_norm_l1(covector([1, -1])) == 2
+    assert dual_norm_l1(Covector([0, "1/2", "1/4"])) == Fraction(3, 4)
+    assert dual_norm_l1(Covector([0, 0, 0])) == 0
+    assert dual_norm_l1(Covector([1, -1])) == 2
 
 
 def test_evaluate_examples():
-    g = covector([0, "1/2", "1/4"])
-    assert evaluate(g, vector([1, 1, 1])) == Fraction(3, 4)
-    assert evaluate(g, zero_vector(3)) == 0
-    assert evaluate(covector([0, "1/2"]), vector([1, "2/3"])) == Fraction(1, 3)
-    assert g(vector([1, 1, 1])) == Fraction(3, 4)
+    g = Covector([0, "1/2", "1/4"])
+    assert g(Vector([1, 1, 1])) == Fraction(3, 4)
+    assert g(Vector([0] * 3)) == 0
+    assert Covector([0, "1/2"])(Vector([1, "2/3"])) == Fraction(1, 3)
 
 
 def test_evaluate_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        evaluate(covector([1, 2]), vector([1, 2, 3]))
+        Covector([1, 2])(Vector([1, 2, 3]))
 
 
 def test_coordinates_are_one_based():
-    x = vector([5, 6, 7])
+    x = Vector([5, 6, 7])
     assert x.coord(1) == 5 and x.coord(3) == 7
     with pytest.raises(IndexError):
         x.coord(0)
     with pytest.raises(IndexError):
         x.coord(4)
-    g = covector(["1/2", "1/3"])
+    g = Covector(["1/2", "1/3"])
     assert g.coeff(2) == Fraction(1, 3)
     with pytest.raises(IndexError):
         g.coeff(3)
 
 
 def test_vector_arithmetic_and_replace():
-    x = vector([1, 2])
-    y = vector([3, -1])
+    x = Vector([1, 2])
+    y = Vector([3, -1])
     assert (x + y).coords == (Fraction(4), Fraction(1))
     assert (x - y).coords == (Fraction(-2), Fraction(3))
     assert (-x).coords == (Fraction(-1), Fraction(-2))
@@ -119,7 +104,7 @@ def test_basis_and_embed():
     assert e2.coords == (0, 1, 0, 0)
     with pytest.raises(ValueError):
         basis_vector(5, 4)
-    padded = vector([1, "1/2"]).embed(4)
+    padded = Vector([1, "1/2"]).embed(4)
     assert padded.coords == (1, Fraction(1, 2), 0, 0)
     with pytest.raises(ValueError):
         padded.embed(3)
@@ -154,4 +139,4 @@ def test_pairing_bounded_by_norm_product(pair):
     gs, xs = pair
     g = Covector(tuple(gs))
     x = Vector(tuple(xs))
-    assert abs(evaluate(g, x)) <= dual_norm_l1(g) * sup_norm(x)
+    assert abs(g(x)) <= dual_norm_l1(g) * sup_norm(x)

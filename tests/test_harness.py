@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -17,7 +18,7 @@ from minmodlab.constructions import (
     deflation_operator,
     minimizing_vector,
 )
-from minmodlab.exactnum import Covector, Vector, basis_vector, vector
+from minmodlab.exactnum import Covector, Vector, basis_vector
 from minmodlab.harness import (
     InvariantViolation,
     Report,
@@ -121,25 +122,25 @@ def test_returning_spike_is_inconclusive():
 
 
 def test_threshold_can_silence_small_persistent_coordinates():
-    family = [vector(["1/8", 1]), vector(["1/8", "-1"])]
+    family = [Vector(["1/8", 1]), Vector(["1/8", "-1"])]
     assert weak_null_test(family).status is WeakNullStatus.NOT_WEAKLY_NULL
     quiet = weak_null_test(family, threshold=Fraction(1, 2))
     # above the threshold only coordinate 2 persists
     assert quiet.status is WeakNullStatus.NOT_WEAKLY_NULL
     assert quiet.coordinate == 2
-    assert weak_null_test([vector(["1/8", 0]), vector(["1/8", 0])], threshold="1/4").status is (
+    assert weak_null_test([Vector(["1/8", 0]), Vector(["1/8", 0])], threshold="1/4").status is (
         WeakNullStatus.WEAKLY_NULL
     )
 
 
 def test_weak_null_handles_mixed_lengths_and_validates():
-    verdict = weak_null_test([vector([1]), vector([0, 1])])
+    verdict = weak_null_test([Vector([1]), Vector([0, 1])])
     assert verdict.ambient_dim == 2
     assert verdict.family_size == 2
     with pytest.raises(ValueError):
         weak_null_test([])
     with pytest.raises(ValueError):
-        weak_null_test([vector([1])], threshold=Fraction(-1, 2))
+        weak_null_test([Vector([1])], threshold=Fraction(-1, 2))
 
 
 # --- rank-one search ---------------------------------------------------------
@@ -264,7 +265,9 @@ def test_rank_one_update_matches_a_fresh_inverse():
         for _ in range(4):
             t = _invertible_dense(rng, n)
             inverse, d, base = minmod._certified_inverse(t.entries)
-            assert base == minmod._integer_matrix(t.entries)  # T over one denominator
+            rows, denominators = base  # the certified rows A_i = D_i T_i, D_i the least denominator of row i
+            assert denominators == [lcm(*(e.denominator for e in row)) for row in t.entries]
+            assert [[Fraction(a, D) for a in row] for row, D in zip(rows, denominators)] == list(map(list, t.entries))
             u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,7 @@ from minmodlab.constructions import (
     direct_sum_family,
 )
 from minmodlab.exactnum import Vector, basis_vector, sup_norm
-from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup, scale, zero_operator
+from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup, scale
 from minmodlab.minmod import (
     BudgetExceededError,
     brute_force_min,
@@ -48,7 +48,7 @@ def test_identity_has_minimum_modulus_one():
 def test_singular_operators_have_kernel_witnesses():
     result = min_modulus_sup(diagonal([0, 1, 0]))
     assert (result.value, result.witness, result.facet) == (0, Vector((1, 0, 0)), (1, 1))
-    result = min_modulus_sup(zero_operator(3))
+    result = min_modulus_sup(diagonal([0] * 3))
     assert (result.value, result.witness, result.facet) == (0, basis_vector(1, 3), (1, 1))
     for n in range(2, 9):
         # the repair e1 (x) f has rank one
@@ -131,10 +131,8 @@ def _sparse_fraction(rng: random.Random) -> Fraction:
 
 
 def _eliminate(op: Dense) -> tuple[list, int]:
-    # the elimination's input: each row over its own least denominator
-    denominators = [lcm(*(e.denominator for e in row)) for row in op.entries]
-    rows = [[int(e * D) for e in row] for row, D in zip(op.entries, denominators)]
-    return minmodlab.minmod._fraction_free_inverse(rows, denominators)
+    # the elimination's input: the certified base, each row over its own least denominator
+    return minmodlab.minmod._fraction_free_inverse(*minmodlab.minmod._certified_inverse(op.entries)[2])
 
 
 def test_fraction_free_inverse_matches_solve_square():
@@ -177,7 +175,22 @@ _SINGULAR = Dense(((Fraction(1, 2), 2, 0), (1, 4, 0), (0, Fraction(1, 3), 1)))
 
 
 def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
-    inverse, d = _eliminate(_DENSE)
+    inverse, d, base = minmodlab.minmod._certified_inverse(_DENSE.entries)
+    assert base[1] == [15, 63, 15]
+    # the witness check alone also rejects M with any entry one off, and one entry of an updated M'
+    read = minmodlab.minmod._read_inverse
+    for i, j, step in itertools.product(range(3), range(3), (1, -1)):
+        shifted = [list(row) for row in inverse]
+        shifted[i][j] += step
+        with pytest.raises(RuntimeError, match="witness failed re-verification"):
+            read(shifted, d, base)
+    rank_one = ([2, -1, 0], [1, 3, -2], 5)  # u (x) g = (2, -1, 0) (x) (1, 3, -2) / 5
+    updated, d2 = minmodlab.minmod._rank_one_update(inverse, d, rank_one)
+    read(updated, d2, base, rank_one)
+    updated[2][0] += 1
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        read(updated, d2, base, rank_one)
+
     off_by_one = [list(row) for row in inverse]
     off_by_one[1][2] += 1
     kernel, _ = _eliminate(_SINGULAR)
@@ -197,7 +210,7 @@ def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
 def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     # the integer rows are read off numerators and denominators, and from
     # there on the elimination and its certificate work in integers alone
-    cases = [deflation_operator(9), _DENSE, _SINGULAR, zero_operator(2)]
+    cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2)]
     expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
@@ -223,7 +236,7 @@ def test_oracle_on_identity_is_exact_at_any_resolution():
 
 
 def test_oracle_on_zero_operator():
-    result = brute_force_min(zero_operator(2), Fraction(1, 10))
+    result = brute_force_min(diagonal([0] * 2), Fraction(1, 10))
     assert result.lower == result.upper == 0
 
 
@@ -301,7 +314,7 @@ def test_oracle_rejects_bad_parameters():
 def test_perturbation_gain_examples():
     n = 4
     t = deflation_operator(n)
-    zero = zero_operator(n)
+    zero = diagonal([0] * n)
     assert perturbation_gain(t, zero).gain == 0
 
     minus_identity = scale(-1, identity(3))
