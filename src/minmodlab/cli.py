@@ -38,7 +38,6 @@ from .constructions import (
     shifted_geometric_functional,
 )
 from .exactnum import (
-    Covector,
     Rational,
     Vector,
     basis_vector,
@@ -58,7 +57,7 @@ from .harness import (
     rank_one_search,
     weak_null_test,
 )
-from .linops import Dense, Operator, RankOne, add, diagonal, identity, materialize
+from .linops import Dense, Operator, RankOne, add, diagonal, identity
 from .minmod import ORACLE_POINT_BUDGET, BudgetExceededError, brute_force_min, facet_minima, min_modulus_sup
 from .minmod import perturbation_gain
 
@@ -106,15 +105,6 @@ def read_dense_operator(path: str | Path) -> Dense:
     return Dense(tuple(rows))
 
 
-def write_dense_operator(operator: Operator, path: str | Path) -> None:
-    """Inverse of :func:`read_dense_operator`."""
-    dense = materialize(operator)
-    lines = [str(dense.dim)]
-    for row in dense.entries:
-        lines.append(" ".join(format_rational(e) for e in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def build_operator(spec: str, n: int) -> Operator:
     """Resolve an operator spec at dimension n; unknown specs are usage errors."""
     if n < 1:
@@ -154,11 +144,6 @@ def build_operator(spec: str, n: int) -> Operator:
 # the fixed regression suite
 
 
-def _corrupted_functional(n: int) -> Covector:
-    # fault injection for testing the checker itself: break one coefficient
-    return geometric_functional(n).replace_coeff(2, Fraction(1, 3))
-
-
 def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tuple[Report, bool]:
     """The full exact regression over sections 2..n_max.
 
@@ -178,10 +163,10 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
 
     witnesses: list[Vector] = []
     for n in range(2, n_max + 1):
+        functional = geometric_functional(n)
         if inject_fault == "corrupt-f":
-            functional = _corrupted_functional(n)
-        else:
-            functional = geometric_functional(n)
+            # fault injection for testing the checker itself: break one coefficient
+            functional = functional.replace_coeff(2, Fraction(1, 3))
         operator = deflation(functional)
         repair = RankOne(basis_vector(1, n), functional)
 

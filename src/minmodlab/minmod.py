@@ -262,6 +262,11 @@ def brute_force_min(
     at least half as wide as the widest, which keeps boxes roughly cubical
     and bounds the depth; among those it prefers the coordinate the steer
     row weights most, then the largest column of |A|, then the widest.
+
+    Each box is bounded where it is made (a facet's start box, then both
+    halves of each split) and either settles at once or joins one heap of
+    open boxes, ordered by bound.  The Lipschitz constant is read off the
+    same integers: max_i sum_j |A_ij| / D.
     """
     step = as_rational(h)
     if step <= 0:
@@ -270,19 +275,23 @@ def brute_force_min(
         raise ValueError("point budget must be at least 1")
     dense = materialize(T)
     n = dense.dim
-    lipschitz = op_norm_sup(dense)
     rows, denominator = _integer_matrix(dense.entries)
     columns = list(zip(*rows))
     abs_columns = [[abs(a) for a in column] for column in columns]
     abs_rows = list(zip(*abs_columns))
     column_max = [max(column) for column in abs_columns]
+    lipschitz = Fraction(max(map(sum, abs_rows)), denominator)  # max_i sum_j |T_ij|
     p, q = step.numerator, step.denominator
 
     # upper and lower are (numerator, denominator) pairs, compared by cross-multiplying
     upper_num, upper_den = None, 1
     lower_num, lower_den = None, 1
     evaluations = 0
-    counter = 0
+    # heap entries: (float key for ordering only, tiebreak, exact bound
+    # numerator, steer row, box); all certification uses the exact bound.
+    # int / int is correctly rounded, so bnd / den is the same float as
+    # float(Fraction(bnd, den)): the queue order does not depend on the representation
+    heap: list[tuple[float, int, int, int, tuple]] = []
 
     def settle(bnd: int, den: int) -> None:
         # a box is retired; its bound joins the global sphere-wide minimum
@@ -290,42 +299,32 @@ def brute_force_min(
         if lower_num is None or bnd * lower_den < lower_num * den:
             lower_num, lower_den = bnd, den
 
+    def visit(box: tuple) -> None:
+        # bound a box, take its centre as the best point if it is lower, then settle or queue the box
+        nonlocal upper_num, upper_den, evaluations
+        level, mid, radius, width = box
+        evaluations += 1
+        if evaluations > point_budget:
+            raise BudgetExceededError(f"oracle exceeded its budget of {point_budget} box evaluations")
+        den = denominator << level
+        clearance = [abs(m) - w for m, w in zip(mid, width)]
+        steer_clearance = max(clearance)
+        bnd = max(steer_clearance, 0)
+        centre = max(map(abs, mid))
+        if upper_num is None or centre * upper_den < upper_num * den:
+            upper_num, upper_den = centre, den
+        if bnd * upper_den >= upper_num * den or 2 * max(radius) * q <= p << level:
+            settle(bnd, den)
+        else:  # evaluations counts up, so it breaks ties in the order boxes were queued
+            heapq.heappush(heap, (bnd / den, evaluations, bnd, clearance.index(steer_clearance), box))
+
     for k in range(n):
         radius = [1] * n
         radius[k] = 0  # the facet x_{k+1} = +1, centred at e_{k+1}
         # boxes are (level, mid, radius, width); the lists are never mutated,
         # so the two halves of a split share radius and width
-        pending = [(0, list(columns[k]), radius, [sum(row) - row[k] for row in abs_rows])]
-        # heap entries: (float key for ordering only, tiebreak, exact bound
-        # numerator, steer row, box); all certification uses the exact bound.
-        # int / int is correctly rounded, so bnd / den is the same float as
-        # float(Fraction(bnd, den)): the queue order does not depend on the representation
-        heap: list[tuple[float, int, int, int, tuple]] = []
-
-        while pending or heap:
-            if pending:
-                box = pending.pop()
-                level, mid, radius, width = box
-                evaluations += 1
-                if evaluations > point_budget:
-                    raise BudgetExceededError(
-                        f"oracle exceeded its budget of {point_budget} box evaluations"
-                    )
-                den = denominator << level
-                clearance = [abs(m) - w for m, w in zip(mid, width)]
-                steer_clearance = max(clearance)
-                bnd = max(steer_clearance, 0)
-                centre = max(map(abs, mid))
-                if upper_num is None or centre * upper_den < upper_num * den:
-                    upper_num, upper_den = centre, den
-                if bnd * upper_den >= upper_num * den or 2 * max(radius) * q <= p << level:
-                    settle(bnd, den)
-                else:
-                    steer = clearance.index(steer_clearance)
-                    heapq.heappush(heap, (bnd / den, counter, bnd, steer, box))
-                    counter += 1
-                continue
-
+        visit((0, list(columns[k]), radius, [sum(row) - row[k] for row in abs_rows]))
+        while heap:
             _, _, bnd, steer, (level, mid, radius, width) = heapq.heappop(heap)
             den = denominator << level
             if bnd * upper_den >= upper_num * den:  # the best point improved since this was queued
@@ -350,8 +349,8 @@ def brute_force_min(
             radius[j] = half_radius
             width = [w - a * half_radius for w, a in zip(width, abs_columns[j])]
             shift = [a * half_radius for a in columns[j]]
-            pending.append((level, [m - d for m, d in zip(mid, shift)], radius, width))
-            pending.append((level, [m + d for m, d in zip(mid, shift)], radius, width))
+            visit((level, [m + d for m, d in zip(mid, shift)], radius, width))
+            visit((level, [m - d for m, d in zip(mid, shift)], radius, width))
 
     # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper
     return OracleResult(

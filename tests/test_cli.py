@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import minmodlab
 import minmodlab.harness
 import minmodlab.minmod
 from minmodlab.cli import (
@@ -25,7 +27,6 @@ from minmodlab.cli import (
     build_parser,
     main,
     read_dense_operator,
-    write_dense_operator,
 )
 from minmodlab.constructions import deflation_operator
 from minmodlab.linops import materialize
@@ -208,6 +209,7 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
 # together with every evaluation count
 _FROZEN_STDOUT = {
     ("converge", "2", "12"): "716dfd3502c74a0c3ce588f7a61850ee520d5fd87439fa7f971796462880c0da",
+    ("converge", "2", "30"): "2514d8aba51ae1c37dcb3026b648f0b4332773cf9968d6758e77d3bf7c9c22cc",
     ("oracle", "direct-sum", "4", "1/64"): (
         "5bb49add2ad185282dacde5966b39480be4d178b52cbf55039d6912f7a8529c7"
     ),
@@ -233,9 +235,12 @@ def test_value_only_reports_are_frozen(capsys, argv):
 # --- matrix files --------------------------------------------------------------
 
 
+_T3_MATRIX_FILE = "3\n1 -1/2 -1/4\n0 1 0\n0 0 1\n"  # deflation_operator(3)
+
+
 def test_matrix_file_round_trip(tmp_path, capsys):
     path = tmp_path / "t3.mat"
-    write_dense_operator(deflation_operator(3), path)
+    path.write_text(_T3_MATRIX_FILE, encoding="utf-8")
     assert read_dense_operator(path).entries == materialize(deflation_operator(3)).entries
 
     code, out, _ = run_cli(capsys, "minmod", str(path), "3")
@@ -245,7 +250,7 @@ def test_matrix_file_round_trip(tmp_path, capsys):
 
 def test_matrix_file_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "t3.mat"
-    write_dense_operator(deflation_operator(3), path)
+    path.write_text(_T3_MATRIX_FILE, encoding="utf-8")
     code, _, err = run_cli(capsys, "minmod", str(path), "4")
     assert code == EXIT_USAGE
     assert "3-dimensional" in err
@@ -527,10 +532,13 @@ def test_every_invocation_exits_in_the_contract(tmp_path, capsys, data):
 
 
 def test_module_entry_point_runs():
+    # the subprocess imports the package under test, not whatever minmodlab the environment provides
+    src = Path(minmodlab.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "minmodlab", "minmod", "paper-t", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == EXIT_OK
     assert "# value=2/3" in proc.stdout

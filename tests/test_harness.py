@@ -14,6 +14,7 @@ import pytest
 import minmodlab.harness
 from minmodlab import minmod
 from minmodlab.constructions import (
+    CounterexampleFamily,
     c0_family,
     deflation_operator,
     minimizing_vector,
@@ -36,18 +37,21 @@ from support import forbid_fraction_arithmetic, small_fraction, solve_inverse
 # --- convergence -----------------------------------------------------------
 
 
+_FROZEN_VALUES = {
+    2: Fraction(2, 3),
+    3: Fraction(4, 7),
+    4: Fraction(8, 15),
+    5: Fraction(16, 31),
+    6: Fraction(32, 63),
+}
+
+
 def test_convergence_frozen_rows():
     report = convergence_study(2, 6)
     assert not report.partial
     assert [r.n for r in report.rows] == [2, 3, 4, 5, 6]
     values = {r.n: r.value for r in report.rows}
-    assert values == {
-        2: Fraction(2, 3),
-        3: Fraction(4, 7),
-        4: Fraction(8, 15),
-        5: Fraction(16, 31),
-        6: Fraction(32, 63),
-    }
+    assert values == _FROZEN_VALUES
     gaps = {r.n: r.gap for r in report.rows}
     assert gaps[5] == Fraction(1, 62)
     assert report.rows[1].witness_min_tail == Fraction(4, 7)
@@ -55,6 +59,19 @@ def test_convergence_frozen_rows():
         assert r.value == r.closed_form
         assert r.gap == r.value - Fraction(1, 2)
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
+
+
+def test_convergence_builds_no_family(monkeypatch):
+    # the study reads m(T) off the deflation alone; K and the functional's re-check are not its work
+    expected = convergence_study(2, 6)
+
+    def refuse(self):
+        raise AssertionError("the convergence study built a CounterexampleFamily")
+
+    monkeypatch.setattr(CounterexampleFamily, "__post_init__", refuse)
+    report = convergence_study(2, 6)
+    assert report == expected
+    assert {r.n: r.value for r in report.rows} == _FROZEN_VALUES
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):

@@ -296,6 +296,7 @@ def test_oracle_calls_neither_the_inverse_nor_the_lp(monkeypatch):
 
     monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", forbidden)
     monkeypatch.setattr(minmodlab.minmod, "min_modulus_sup", forbidden)
+    monkeypatch.setattr(minmodlab.minmod, "op_norm_sup", forbidden)  # the facet LPs' bound
     for module in (minmodlab.minmod, minmodlab.lpsolve):  # minmod imports both names
         monkeypatch.setattr(module, "solve", forbidden)
         monkeypatch.setattr(module, "linear_program", forbidden)
