@@ -28,7 +28,6 @@ from .linops import (
     identity,
     materialize,
     op_norm_sup,
-    scale,
 )
 from .minmod import (
     BudgetExceededError,

@@ -1,10 +1,10 @@
 """Square operators on N-sections.
 
 ``Dense`` is the lab's one operator type: both engines read rows of a
-matrix, so the builders (``identity``, ``diagonal``, ``add``, ``scale``)
-return a ``Dense`` eagerly.  ``RankOne`` only records the two factors of
-u (x) g, the form in which perturbations are searched and reported; the
-builders and ``materialize`` take its outer product.
+matrix, so the builders (``identity``, ``diagonal``, ``add``) return a
+``Dense`` eagerly.  ``RankOne`` only records the two factors of u (x) g,
+the form in which perturbations are searched and reported; the builders
+and ``materialize`` take its outer product.
 The sup-operator norm is the maximal row l1 sum of the matrix.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
@@ -103,11 +103,6 @@ def add(*operators: Operator) -> Dense:
         tuple(sum((e for e in column if e), _ZERO) for column in zip(*rows))
         for rows in zip(*(op.rows() for op in operators))
     ))
-
-
-def scale(factor: RationalInput, operator: Operator) -> Dense:
-    c = as_rational(factor)
-    return Dense(tuple(tuple(c * e for e in row) for row in operator.rows()))
 
 
 def materialize(operator: Operator) -> Dense:

@@ -21,21 +21,24 @@ over the same facets that touches neither the inverse nor the LP.  It
 bounds each box through exact interval arithmetic on the rows of T and
 refines until boxes are thinner than the requested resolution h,
 returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
-point and upper - lower <= op_norm_sup(T) * h/2.  The arithmetic is on
+point and upper - lower <= lipschitz * h/2.  The arithmetic is on
 integers: A = D T for the least common denominator D of T's entries (one
-D for all rows, because the bound is a maximum across rows), and boxes
-are dyadic, with centres and radii over 2^L, so each row's centre value
-and half-width are integers over D 2^L.  Halving one coordinate changes
-each row by one term, so a box costs O(N).  Bounds are compared exactly
-by cross-multiplying; floats only order the queue of open boxes.
+D for all rows, because the bound is a maximum across rows), and
+lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
+centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
+row's centre value and half-width are integers over the one denominator
+D 2^L and bounds compare as plain integers.  Halving one coordinate
+changes each row by one term, so a box costs O(N); floats only order the
+queue of open boxes.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import NamedTuple
 
 from .exactnum import Rational, RationalInput, Vector, as_rational
@@ -254,19 +257,26 @@ def brute_force_min(
     never a silent truncation) once more than ``point_budget`` boxes have
     been bounded.
 
-    A box at level L has radii r_j / 2^L and carries, for each row i, the
+    Every box lies on the grid 2^-L, for the smallest L >= 0 with
+    h 2^L >= 4.  A box has radii r_j / 2^L and carries, for each row i, the
     centre value mid_i and the interval half-width w_i of (Ax)_i, with
-    A = D T; both are integers over D 2^L.  Over the box row i of Tx takes
-    values (mid_i +/- w_i) / (D 2^L), so sup|Tx| >= max_i |mid_i| - w_i.
-    The steer row maximizes that clearance.  The split halves a coordinate
-    at least half as wide as the widest, which keeps boxes roughly cubical
-    and bounds the depth; among those it prefers the coordinate the steer
-    row weights most, then the largest column of |A|, then the widest.
+    A = D T; both are integers over the one denominator D 2^L.  Over the
+    box row i of Tx takes values (mid_i +/- w_i) / (D 2^L), so
+    sup|Tx| >= max_i |mid_i| - w_i.  The steer row maximizes that clearance.
+    A box is thin, no wider than h, once its widest radius is at most
+    thin = floor(h 2^L / 2) >= 2.  The split halves a coordinate at least
+    half as wide as the widest, which keeps boxes roughly cubical and
+    bounds the depth; among those it prefers the coordinate the steer row
+    weights most, then the largest column of |A|, then the widest.  Radii
+    start at 2^L and are halved, so they are powers of two.  A split box
+    is not thin, so its widest radius exceeds thin >= 2 and is at least 4;
+    the radius halved is at least half of that, so it is even and its half
+    is an integer.  That is why L is chosen with h 2^L >= 4.
 
-    Each box is bounded where it is made (a facet's start box, then both
-    halves of each split) and either settles at once or joins one heap of
-    open boxes, ordered by bound.  The Lipschitz constant is read off the
-    same integers: max_i sum_j |A_ij| / D.
+    Each step bounds a batch of boxes with one radius and width, a facet's
+    start box or the two halves of a split; each box either settles at
+    once or joins one heap of open boxes, ordered by bound.  The Lipschitz
+    constant is read off the same integers: max_i sum_j |A_ij| / D.
     """
     step = as_rational(h)
     if step <= 0:
@@ -282,80 +292,73 @@ def brute_force_min(
     column_max = [max(column) for column in abs_columns]
     lipschitz = Fraction(max(map(sum, abs_rows)), denominator)  # max_i sum_j |T_ij|
     p, q = step.numerator, step.denominator
+    level = ((4 * q - 1) // p).bit_length()  # the smallest L with p 2^L >= 4q
+    thin = (p << level) // (2 * q)
+    den = denominator << level
 
-    # upper and lower are (numerator, denominator) pairs, compared by cross-multiplying
-    upper_num, upper_den = None, 1
-    lower_num, lower_den = None, 1
+    upper = lower = inf  # integers over den once the first box is bounded
     evaluations = 0
-    # heap entries: (float key for ordering only, tiebreak, exact bound
-    # numerator, steer row, box); all certification uses the exact bound.
-    # int / int is correctly rounded, so bnd / den is the same float as
-    # float(Fraction(bnd, den)): the queue order does not depend on the representation
-    heap: list[tuple[float, int, int, int, tuple]] = []
-
-    def settle(bnd: int, den: int) -> None:
-        # a box is retired; its bound joins the global sphere-wide minimum
-        nonlocal lower_num, lower_den
-        if lower_num is None or bnd * lower_den < lower_num * den:
-            lower_num, lower_den = bnd, den
-
-    def visit(box: tuple) -> None:
-        # bound a box, take its centre as the best point if it is lower, then settle or queue the box
-        nonlocal upper_num, upper_den, evaluations
-        level, mid, radius, width = box
-        evaluations += 1
-        if evaluations > point_budget:
-            raise BudgetExceededError(f"oracle exceeded its budget of {point_budget} box evaluations")
-        den = denominator << level
-        clearance = [abs(m) - w for m, w in zip(mid, width)]
-        steer_clearance = max(clearance)
-        bnd = max(steer_clearance, 0)
-        centre = max(map(abs, mid))
-        if upper_num is None or centre * upper_den < upper_num * den:
-            upper_num, upper_den = centre, den
-        if bnd * upper_den >= upper_num * den or 2 * max(radius) * q <= p << level:
-            settle(bnd, den)
-        else:  # evaluations counts up, so it breaks ties in the order boxes were queued
-            heapq.heappush(heap, (bnd / den, evaluations, bnd, clearance.index(steer_clearance), box))
-
+    # heap entries: (float key for ordering only, tiebreak, exact bound, steer row,
+    # mid, radius, width); all certification uses the exact bound.  int / int is
+    # correctly rounded, so bnd / den is float(Fraction(bnd, den)) whatever L is
+    heap: list[tuple] = []
+    shifts: dict[tuple[int, int], tuple[list, list]] = {}  # (j, r) -> (A[:, j] r, |A[:, j]| r)
     for k in range(n):
-        radius = [1] * n
+        radius = [1 << level] * n
         radius[k] = 0  # the facet x_{k+1} = +1, centred at e_{k+1}
-        # boxes are (level, mid, radius, width); the lists are never mutated,
-        # so the two halves of a split share radius and width
-        visit((0, list(columns[k]), radius, [sum(row) - row[k] for row in abs_rows]))
-        while heap:
-            _, _, bnd, steer, (level, mid, radius, width) = heapq.heappop(heap)
-            den = denominator << level
-            if bnd * upper_den >= upper_num * den:  # the best point improved since this was queued
-                settle(bnd, den)
+        width = [(sum(row) - row[k]) << level for row in abs_rows]
+        mids = ([a << level for a in columns[k]],)
+        while True:
+            # a batch's boxes share radius and width, which are never mutated
+            thin_batch = max(radius) <= thin
+            for mid in mids:
+                evaluations += 1
+                if evaluations > point_budget:
+                    raise BudgetExceededError(f"oracle exceeded its budget of {point_budget} box evaluations")
+                magnitude = list(map(abs, mid))
+                clearance = list(map(operator.sub, magnitude, width))
+                steer_clearance = max(clearance)
+                bnd = steer_clearance if steer_clearance > 0 else 0
+                centre = max(magnitude)  # the centre is an evaluated sphere point
+                if centre < upper:
+                    upper = centre
+                if thin_batch or bnd >= upper:
+                    if bnd < lower:  # the box is retired
+                        lower = bnd
+                else:  # evaluations counts up, so it breaks ties in the order boxes were queued
+                    entry = (bnd / den, evaluations, bnd, clearance.index(steer_clearance), mid, radius, width)
+                    heapq.heappush(heap, entry)
+            if not heap:
+                break
+            _, _, bnd, steer, mid, radius, width = heapq.heappop(heap)
+            if bnd >= upper:  # the best point improved since this was queued
+                if bnd < lower:
+                    lower = bnd
+                mids = ()
                 continue
-            widest = max(radius)  # positive, since the box did not settle
-            eligible = [c for c in range(n) if 2 * radius[c] >= widest]
-            row = abs_rows[steer]
-            j = max(eligible, key=lambda c: row[c] * radius[c])  # max keeps the first maximum
-            if not row[j]:
-                j = max(eligible, key=lambda c: column_max[c] * radius[c])
-                if not column_max[j]:
-                    j = radius.index(widest)
-            if radius[j] & 1:  # make the half radius an integer: one level deeper
-                level += 1
-                mid = [2 * m for m in mid]
-                radius = [2 * r for r in radius]
-                width = [2 * w for w in width]
+            widest = max(radius)  # a power of two above thin >= 2, since the box did not settle
+            cut = widest >> 1  # a coordinate at least half as wide as the widest may be split
+            for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
+                scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
+                j = scores.index(max(scores))
+                if weights[j]:
+                    break
             else:
-                radius = list(radius)
-            half_radius = radius[j] >> 1
-            radius[j] = half_radius
-            width = [w - a * half_radius for w, a in zip(width, abs_columns[j])]
-            shift = [a * half_radius for a in columns[j]]
-            visit((level, [m + d for m, d in zip(mid, shift)], radius, width))
-            visit((level, [m - d for m, d in zip(mid, shift)], radius, width))
+                j = radius.index(widest)
+            half = radius[j] >> 1
+            radius = list(radius)
+            radius[j] = half
+            cached = shifts.get((j, half))
+            if cached is None:
+                cached = shifts[j, half] = ([a * half for a in columns[j]], [a * half for a in abs_columns[j]])
+            shift, abs_shift = cached
+            width = list(map(operator.sub, width, abs_shift))
+            mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
 
     # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper
     return OracleResult(
-        upper=Fraction(upper_num, upper_den),
-        lower=Fraction(lower_num, lower_den),
+        upper=Fraction(upper, den),
+        lower=Fraction(lower, den),
         resolution=step,
         lipschitz=lipschitz,
         covering_radius=step / 2,

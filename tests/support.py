@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from minmodlab.exactnum import Covector, Vector, sup_norm
-from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, materialize, scale
+from minmodlab.exactnum import Covector, RationalInput, Vector, as_rational, sup_norm
+from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, materialize
 from minmodlab.lpsolve import LinearProgram, linear_program, solve
 from minmodlab.minmod import MinModResult
 
@@ -29,6 +29,12 @@ def random_sphere_point(rng: random.Random, n: int, denominator: int = 64) -> Ve
     pin = rng.randrange(n)
     coords[pin] = Fraction(rng.choice((-1, 1)))
     return Vector(tuple(coords))
+
+
+def scale(factor: RationalInput, operator: Operator) -> Dense:
+    """The operator times an exact scalar."""
+    c = as_rational(factor)
+    return Dense(tuple(tuple(c * e for e in row) for row in operator.rows()))
 
 
 def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Operator:

@@ -20,9 +20,9 @@ from minmodlab.constructions import (
 )
 from minmodlab.exactnum import basis_vector, sup_norm
 from minmodlab.harness import WeakNullStatus, rank_one_search, weak_null_test
-from minmodlab.linops import add, identity, materialize, scale
+from minmodlab.linops import add, identity, materialize
 from minmodlab.minmod import brute_force_min, min_modulus_sup
-from support import random_sphere_point, random_structured_operator
+from support import random_sphere_point, random_structured_operator, scale
 
 HALF = Fraction(1, 2)
 

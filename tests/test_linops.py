@@ -18,9 +18,8 @@ from minmodlab.linops import (
     identity,
     materialize,
     op_norm_sup,
-    scale,
 )
-from support import random_sphere_point, random_structured_operator
+from support import random_sphere_point, random_structured_operator, scale
 
 
 def test_identity_applies_and_materializes():

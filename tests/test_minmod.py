@@ -21,7 +21,7 @@ from minmodlab.constructions import (
     direct_sum_family,
 )
 from minmodlab.exactnum import Vector, basis_vector, sup_norm
-from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup, scale
+from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
 from minmodlab.minmod import (
     BudgetExceededError,
     brute_force_min,
@@ -33,6 +33,7 @@ from support import (
     certifies,
     forbid_fraction_arithmetic,
     random_structured_operator,
+    scale,
     small_fraction,
     solve_inverse,
 )
@@ -285,6 +286,30 @@ def test_oracle_brackets_are_frozen():
     assert sum(evaluations for _, _, evaluations in brackets) == 4554
     digest = hashlib.sha256(repr(brackets).encode("utf-8")).hexdigest()
     assert digest == "f6e1e08870d72c898e9e067f58e835ba24e0854500960c9f6a1c0535adbfdecd"
+
+
+def test_oracle_brackets_are_frozen_across_resolutions():
+    # h = 5 settles every start box unsplit; 4/h is a power of two at h = 1/2 and 1/64
+    # and is not at the other resolutions; the sha256 was taken when boxes changed
+    # dyadic level as they were split, and pins every bracket and box count
+    rng = random.Random(1)
+    operators = [deflation_operator(n) for n in (2, 3, 4)]
+    operators += [random_structured_operator(rng, rng.randint(2, 4)) for _ in range(4)]
+    brackets = []
+    for h in ("5", "1/2", "3/7", "1/10", "2/33", "1/63", "1/64", "1/65"):
+        for op in operators:
+            result = brute_force_min(op, Fraction(h))
+            brackets.append((result.lower, result.upper, result.evaluations))
+    assert sum(evaluations for _, _, evaluations in brackets) == 6632
+    digest = hashlib.sha256(repr(brackets).encode("utf-8")).hexdigest()
+    assert digest == "334737bd5dccbbe2324bc8fc865499bb0599da1ce493a29053dd1ce194c47a62"
+
+
+def test_oracle_budget_binds_before_a_fine_resolution_costs_anything():
+    # h = 10^-300 puts about 1,000 binary digits below the unit radius
+    with pytest.raises(BudgetExceededError) as excinfo:
+        brute_force_min(deflation_operator(64), Fraction(1, 10**300), point_budget=5)
+    assert str(excinfo.value) == "oracle exceeded its budget of 5 box evaluations"
 
 
 def test_oracle_calls_neither_the_inverse_nor_the_lp(monkeypatch):
