@@ -33,7 +33,7 @@ class Dense:
     entries: Matrix
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(as_rational(e) for e in row) for row in self.entries)
+        rows = tuple(tuple(map(as_rational, row)) for row in self.entries)
         n = len(rows)
         if n == 0:
             raise ValueError("a dense operator needs at least one row")
@@ -52,9 +52,6 @@ class Dense:
         return Vector(
             tuple(sum((a * b for a, b in zip(row, x.coords) if a), _ZERO) for row in self.entries)
         )
-
-    def rows(self) -> Matrix:
-        return self.entries
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,7 @@ def add(*operators: Operator) -> Dense:
         raise ValueError(f"dimension mismatch in sum: {sorted(dims)}")
     return Dense(tuple(
         tuple(sum((e for e in column if e), _ZERO) for column in zip(*rows))
-        for rows in zip(*(op.rows() for op in operators))
+        for rows in zip(*(materialize(op).entries for op in operators))
     ))
 
 

@@ -109,8 +109,9 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
     outside the elimination, so a wrong elimination cannot vouch for itself.
     Also returns the certified rows with their denominators as base = (A, D).
     """
-    denominators = [lcm(*(e.denominator for e in row)) for row in entries]
-    rows = [[e.numerator * (D // e.denominator) for e in row] for row, D in zip(entries, denominators)]
+    ratios = [[e.as_integer_ratio() for e in row] for row in entries]
+    denominators = [lcm(*(q for _, q in row)) for row in ratios]
+    rows = [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)]
     inverse, d = _fraction_free_inverse(rows, denominators)
     columns = list(zip(*(inverse if d else [[x] for x in inverse])))  # a kernel vector is one column
     for i, (row, D) in enumerate(zip(rows, denominators)):
@@ -127,14 +128,15 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]
     Sherman-Morrison, S - (Su)(gS)/(1 + g Su), in integers: with a = MU and
     den = d e + G a, M' = den M - a (x) (G M) and d' = d den, without a gcd.
     When den = 0, T + U (x) G / e is singular and (a, 0) comes back: a != 0
-    is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.
+    is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.  Each
+    dot product in a, den and b = G M is one C loop, sum(map(operator.mul, u, v)).
     """
     U, G, e = rank_one
-    a = [sum(m * c for m, c in zip(row, U) if c) for row in inverse]
-    den = d * e + sum(gi * ai for gi, ai in zip(G, a))
+    a = [sum(map(operator.mul, row, U)) for row in inverse]
+    den = d * e + sum(map(operator.mul, G, a))
     if not den:
         return a, 0
-    b = [sum(gi * m for gi, m in zip(G, column) if gi) for column in zip(*inverse)]
+    b = [sum(map(operator.mul, G, column)) for column in zip(*inverse)]
     return [[den * m - ai * bj for m, bj in zip(row, b)] for row, ai in zip(inverse, a)], d * den
 
 
@@ -157,25 +159,26 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
 
     ``base`` is (A, D), the rows A_i = D_i T_i with their denominators D_i,
     ``rank_one`` (U, G, e) or None for A/D itself; d = 0 marks M as a kernel
-    vector.  R is M's largest row l1 sum, z = sign(d) M y for the signs y of
-    that row of M/d.  m >= |d|/R holds when M/d is the inverse; m <= |d|/R is
-    re-verified row by row as max_i(|e A_i z + D_i U_i (G z)| - |d| D_i e) = 0.
+    vector.  R is M's largest row l1 sum, z = M y for y = sign(d) sign(that
+    row of M/d).  m >= |d|/R holds when M/d is the inverse; each call proves
+    m <= |d|/R by e A_i z + D_i U_i (G z) = d e D_i y_i for every row i.
     ``min_modulus_sup`` builds the witness; the search reads (|d|, R) alone.
     """
     rows, denominators = base
     if d:
         sums = [sum(map(abs, row)) for row in inverse]
         norm = max(sums)
-        y = [1 if m * d >= 0 else -1 for m in inverse[sums.index(norm)]]  # the signs of M/d
-        z = [sum(m * c for m, c in zip(row, y)) * (1 if d > 0 else -1) for row in inverse]
-    else:
+        sign = 1 if d > 0 else -1
+        y = [sign if m * d >= 0 else -sign for m in inverse[sums.index(norm)]]
+        z = [sum(map(operator.mul, row, y)) for row in inverse]
+    else:  # z spans the kernel, so (A/D + U (x) G / e) z = 0 = d y for any y
         peak = max(inverse, key=abs)
         norm, z = abs(peak), [c if peak > 0 else -c for c in inverse]
+        y = z
     U, G, e = rank_one or ([0] * len(z), [], 1)
-    gz = sum(gi * c for gi, c in zip(G, z))
-    excess = (abs(e * sum(a * c for a, c in zip(row, z) if a) + D * ui * gz) - abs(d) * D * e
-              for row, D, ui in zip(rows, denominators, U))
-    if max(excess):
+    gz = sum(map(operator.mul, G, z))
+    if ([e * sum(map(operator.mul, row, z)) + D * ui * gz for row, D, ui in zip(rows, denominators, U)]
+            != [d * e * D * c for D, c in zip(denominators, y)]):
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
     return abs(d), norm, z
 

@@ -34,7 +34,7 @@ def random_sphere_point(rng: random.Random, n: int, denominator: int = 64) -> Ve
 def scale(factor: RationalInput, operator: Operator) -> Dense:
     """The operator times an exact scalar."""
     c = as_rational(factor)
-    return Dense(tuple(tuple(c * e for e in row) for row in operator.rows()))
+    return Dense(tuple(tuple(c * e for e in row) for row in materialize(operator).entries))
 
 
 def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Operator:

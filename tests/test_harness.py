@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import minmodlab.harness
 from minmodlab import minmod
@@ -332,6 +334,67 @@ def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
         forbid_fraction_arithmetic(patch)
         core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), base, rank_one)
     assert _result(*core) == expected
+
+
+_ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 8)))
+_SPARSE = st.one_of(st.just(0), st.integers(-9, 9))  # about half the draws are zero
+
+
+def _draw_proposal(data, mode: str) -> tuple:
+    """(T, M, d, base, (U, G, e)): a dense T with T^-1 = M/d and a sparse integer U (x) G / e.
+
+    ``mode`` picks den = d e + G M U: "free" leaves the draw as it is,
+    "negative" scales G so that den < 0, and "singular" scales G and sets e
+    so that den = 0, where T + U (x) G / e is singular.
+    """
+    n = data.draw(st.integers(1, 6), label="n")
+    t = Dense(tuple(tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n))) for _ in range(n)))
+    assume(min_modulus_sup(t).value)
+    inverse, d, base = minmod._certified_inverse(t.entries)
+    U = data.draw(st.lists(_SPARSE, min_size=n, max_size=n), label="U")
+    G = data.draw(st.lists(_SPARSE, min_size=n, max_size=n), label="G")
+    e = data.draw(st.integers(1, 12), label="e")
+    if mode != "free":
+        s = sum(g * sum(m * c for m, c in zip(row, U)) for g, row in zip(G, inverse))  # G M U
+        assume(s)
+        c = (d if mode == "singular" else d * e + 1) * (-1 if s > 0 else 1)
+        G, e = [c * g for g in G], abs(s) if mode == "singular" else e
+    return t, inverse, d, base, (U, G, e)
+
+
+@pytest.mark.parametrize("mode", ["free", "negative", "singular"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_update_and_read_give_the_minimum_modulus_of_any_proposal(mode, data):
+    t, inverse, d, base, rank_one = _draw_proposal(data, mode)
+    U, G, e = rank_one
+    updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    if mode == "negative":
+        assert d2 < 0
+    if mode == "singular":
+        assert d2 == 0 and any(updated)  # the kernel vector a = M U
+    k = RankOne(Vector(Fraction(c, e) for c in U), Covector(G))
+    assert _result(*minmod._read_inverse(updated, d2, base, rank_one)) == min_modulus_sup(add(t, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_rejects_a_negated_row_or_a_flipped_determinant(data):
+    _, inverse, d, base, rank_one = _draw_proposal(data, data.draw(st.sampled_from(["free", "negative"])))
+    updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    assume(d2)
+    read = minmod._read_inverse
+    value, norm, z = read(updated, d2, base, rank_one)
+    # (T + K) z = d' y for a true M'/d'; with -d', the check asks for -d' y instead
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        read(updated, -d2, base, rank_one)
+    for i, zi in enumerate(z):
+        negated = [[-m for m in row] if r == i else row for r, row in enumerate(updated)]
+        if zi:  # z moves off M' y, the one z with (T + K) z = d' y, and fails; z_i = R on the row that sets y
+            with pytest.raises(RuntimeError, match="witness failed re-verification"):
+                read(negated, d2, base, rank_one)
+        else:  # z_i = 0: R, y and z are unchanged, so the same true witness comes back
+            assert read(negated, d2, base, rank_one) == (value, norm, z)
 
 
 def test_search_proposals_read_the_perturbed_minimum_modulus(monkeypatch):
