@@ -61,7 +61,8 @@ def deflation(f: Covector) -> Dense:
     """I - e_1 (x) f as a dense matrix on the section of f: row 1 is e_1 - f, the rest are unit rows."""
     n = len(f)
     first = (_ONE - f.coeffs[0],) + tuple(-c for c in f.coeffs[1:])
-    return Dense((first,) + tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(1, n)))
+    zeros = (_ZERO,) * n
+    return Dense((first,) + tuple(zeros[:i] + (_ONE,) + zeros[i + 1:] for i in range(1, n)))
 
 
 def deflation_operator(n: int) -> Dense:

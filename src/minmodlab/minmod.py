@@ -4,9 +4,9 @@
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One fraction-free elimination gives S = M/d
-in integers; A M = d diag(D) proves the lower bound and the re-verified
-witness the upper one.  From M/d, S becomes (T + u (x) g)^-1 in O(N^2)
-integer steps by ``_rank_one_update``, so the rank-one search inverts T once.
+in integers; A M = d diag(D), summed in C over A's nonzeros, proves the lower
+bound and the re-verified witness the upper one.  ``_rank_one_update`` turns
+M/d into (T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -38,6 +38,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import inf, lcm
 from typing import NamedTuple
 
@@ -99,25 +100,28 @@ def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
                 a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[c])]
         prev = p
     sign = 1 if prev > 0 else -1
-    return [[sign * x * D for x, D in zip(row[n:], denominators)] for row in a], sign * prev
+    scale = [sign * D for D in denominators]  # M = R diag(D) sign(p), one C loop per row
+    return [list(map(operator.mul, row[n:], scale)) for row in a], sign * prev
 
 
 def _certified_inverse(entries) -> tuple[list, int, tuple]:
     """``_fraction_free_inverse`` of T's integer rows A_i = D_i T_i, proved before anything reads it.
 
-    The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0; it sits
-    outside the elimination, so a wrong elimination cannot vouch for itself.
-    Also returns the certified rows with their denominators as base = (A, D).
+    The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0, outside
+    the elimination, so a wrong one cannot vouch for itself; row i of A M is
+    sum_k A_ik M_k over A_i's nonzeros, in C loops.  Also returns base = (A, D).
     """
     ratios = [[e.as_integer_ratio() for e in row] for row in entries]
     denominators = [lcm(*(q for _, q in row)) for row in ratios]
     rows = [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)]
     inverse, d = _fraction_free_inverse(rows, denominators)
-    columns = list(zip(*(inverse if d else [[x] for x in inverse])))  # a kernel vector is one column
-    for i, (row, D) in enumerate(zip(rows, denominators)):
-        used = [k for k, c in enumerate(row) if c]  # row i of A M skips the zeros of A_i
-        product = [sum(row[k] * column[k] for k in used) for column in columns]
-        if product != [d * D if j == i else 0 for j in range(len(columns))] or not any(inverse):
+    if not any(inverse):
+        raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
+    matrix = inverse if d else [[x] for x in inverse]  # a kernel vector is M with one column
+    zeros = [0] * len(matrix[0])  # the seed of every sum, so a zero row A_i gives zeros, not []
+    for i, (row, D) in enumerate(zip(rows, denominators)):  # row i of A M: M's rows at A_i's nonzeros
+        terms = [map(operator.mul, repeat(c), matrix[k]) for k, c in enumerate(row) if c]
+        if list(map(sum, zip(zeros, *terms))) != (zeros[:i] + [d * D] + zeros[i + 1:] if d else zeros):
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
     return inverse, d, (rows, denominators)
 

@@ -208,14 +208,46 @@ def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
             minmodlab.minmod._certified_inverse(op.entries)
 
 
+def test_certificate_that_skips_the_zeros_of_a_stays_sound(monkeypatch):
+    # row i of A M reads only the rows of M at the nonzeros of A_i; every entry
+    # of M is still read, and a column of zeros in A is all a kernel check may ignore
+    ladder = deflation_operator(5)  # row 1 is e_1 - f, the others are unit rows that read one row of M
+    singular = Dense(((1, 2, 0), (0, 0, 0), (2, 4, 0)))  # a zero row, and a zero third column
+    (inverse, d), (kernel, zero) = _eliminate(ladder), _eliminate(singular)
+    assert (kernel, zero) == ([-2, 1, 0], 0)
+
+    def certify(op, forged):
+        monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", lambda rows, denominators: forged)
+        return minmodlab.minmod._certified_inverse(op.entries)
+
+    forgeries = [(inverse, -d)]
+    for i, j, step in itertools.product(range(5), range(5), (1, -1)):
+        shifted = [list(row) for row in inverse]
+        shifted[i][j] += step
+        forgeries.append((shifted, d))
+    for forged in forgeries:
+        with pytest.raises(RuntimeError, match="certificate"):
+            certify(ladder, forged)
+    assert certify(ladder, (inverse, d))[:2] == (inverse, d)
+
+    for k in (0, 1):
+        with pytest.raises(RuntimeError, match="certificate"):
+            certify(singular, ([c + (j == k) for j, c in enumerate(kernel)], 0))
+    assert certify(singular, ([-2, 1, 1], 0))[:2] == ([-2, 1, 1], 0)  # still in the kernel
+
+
 def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     # the integer rows are read off numerators and denominators, and from
     # there on the elimination and its certificate work in integers alone
-    cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2)]
+    negative = diagonal([-1, 2, 3])  # its pivot product is -6, so the scaling folds in sign = -1
+    cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2), negative]
     expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
         assert [minmodlab.minmod._certified_inverse(op.entries) for op in cases] == expected
+    inverse, d = _eliminate(negative)
+    assert d > 0
+    assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(negative)
 
 
 @settings(max_examples=25, deadline=None)
