@@ -27,9 +27,9 @@ D for all rows, because the bound is a maximum across rows), and
 lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
 centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
 row's centre value and half-width are integers over the one denominator
-D 2^L and bounds compare as plain integers.  Halving one coordinate
-changes each row by one term, so a box costs O(N); floats only order the
-queue of open boxes.
+D 2^L and bounds compare as plain integers.  The half-widths are a function
+of the radii, and the split of the radii and the steer row, so one call plans
+each split once and a box costs O(N); floats only order the queue.
 """
 
 from __future__ import annotations
@@ -282,8 +282,10 @@ def brute_force_min(
 
     Each step bounds a batch of boxes with one radius and width, a facet's
     start box or the two halves of a split; each box either settles at
-    once or joins one heap of open boxes, ordered by bound.  The Lipschitz
-    constant is read off the same integers: max_i sum_j |A_ij| / D.
+    once or joins one heap of open boxes, ordered by bound.  The width is
+    w_i = sum_j |A_ij| r_j, a function of the radius, and the split depends on
+    (steer row, radius) alone, so one call plans it once per pair.  The
+    Lipschitz constant is read off the same integers: max_i sum_j |A_ij| / D.
     """
     step = as_rational(h)
     if step <= 0:
@@ -305,19 +307,18 @@ def brute_force_min(
 
     upper = lower = inf  # integers over den once the first box is bounded
     evaluations = 0
-    # heap entries: (float key for ordering only, tiebreak, exact bound, steer row,
-    # mid, radius, width); all certification uses the exact bound.  int / int is
-    # correctly rounded, so bnd / den is float(Fraction(bnd, den)) whatever L is
+    # heap entries: (float key for ordering only, tiebreak, exact bound, steer row, mid, radius);
+    # int / int is correctly rounded, so bnd / den is float(Fraction(bnd, den)) whatever L is
     heap: list[tuple] = []
-    shifts: dict[tuple[int, int], tuple[list, list]] = {}  # (j, r) -> (A[:, j] r, |A[:, j]| r)
+    plans: dict[tuple, tuple] = {}  # (steer, radius) -> (child radius, thin?, A[:, j] half, child width)
+    widths: dict[tuple, list] = {}  # radius -> width, since w_i = sum_j |A_ij| r_j
     for k in range(n):
-        radius = [1 << level] * n
-        radius[k] = 0  # the facet x_{k+1} = +1, centred at e_{k+1}
-        width = [(sum(row) - row[k]) << level for row in abs_rows]
-        mids = ([a << level for a in columns[k]],)
+        radius = (1 << level,) * k + (0,) + (1 << level,) * (n - k - 1)  # the facet x_{k+1} = +1
+        thin_batch = max(radius) <= thin
+        width = widths[radius] = [(sum(row) - row[k]) << level for row in abs_rows]
+        mids = ([a << level for a in columns[k]],)  # centred at e_{k+1}
         while True:
             # a batch's boxes share radius and width, which are never mutated
-            thin_batch = max(radius) <= thin
             for mid in mids:
                 evaluations += 1
                 if evaluations > point_budget:
@@ -333,33 +334,32 @@ def brute_force_min(
                     if bnd < lower:  # the box is retired
                         lower = bnd
                 else:  # evaluations counts up, so it breaks ties in the order boxes were queued
-                    entry = (bnd / den, evaluations, bnd, clearance.index(steer_clearance), mid, radius, width)
+                    entry = (bnd / den, evaluations, bnd, clearance.index(steer_clearance), mid, radius)
                     heapq.heappush(heap, entry)
             if not heap:
                 break
-            _, _, bnd, steer, mid, radius, width = heapq.heappop(heap)
+            _, _, bnd, steer, mid, radius = heapq.heappop(heap)
             if bnd >= upper:  # the best point improved since this was queued
                 if bnd < lower:
                     lower = bnd
                 mids = ()
                 continue
-            widest = max(radius)  # a power of two above thin >= 2, since the box did not settle
-            cut = widest >> 1  # a coordinate at least half as wide as the widest may be split
-            for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
-                scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
-                j = scores.index(max(scores))
-                if weights[j]:
-                    break
-            else:
-                j = radius.index(widest)
-            half = radius[j] >> 1
-            radius = list(radius)
-            radius[j] = half
-            cached = shifts.get((j, half))
-            if cached is None:
-                cached = shifts[j, half] = ([a * half for a in columns[j]], [a * half for a in abs_columns[j]])
-            shift, abs_shift = cached
-            width = list(map(operator.sub, width, abs_shift))
+            plan = plans.get((steer, radius))
+            if plan is None:  # the split depends on (steer, radius) alone, so each is planned once
+                widest = max(radius)  # a power of two above thin >= 2, since the box did not settle
+                cut = widest >> 1  # a coordinate at least half as wide as the widest may be split
+                for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
+                    scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
+                    j = scores.index(max(scores))
+                    if weights[j]:
+                        break
+                else:
+                    j = radius.index(widest)
+                half = radius[j] >> 1
+                child = radius[:j] + (half,) + radius[j + 1:]
+                width = widths[child] = [w - a * half for w, a in zip(widths[radius], abs_columns[j])]
+                plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], width)
+            radius, thin_batch, shift, width = plan
             mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
 
     # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper

@@ -337,6 +337,43 @@ def test_oracle_brackets_are_frozen_across_resolutions():
     assert digest == "334737bd5dccbbe2324bc8fc865499bb0599da1ce493a29053dd1ce194c47a62"
 
 
+def test_oracle_brackets_the_benchmark_deflations_at_h_1_64():
+    # the paper-t cases of the oracle benchmark; no other pin runs N = 5 at this resolution
+    expected = {
+        3: (Fraction(73, 128), Fraction(147, 256), 87),
+        4: (Fraction(17, 32), Fraction(137, 256), 380),
+        5: (Fraction(33, 64), Fraction(133, 256), 2119),
+    }
+    for n, bracket in expected.items():
+        result = brute_force_min(deflation_operator(n), Fraction(1, 64))
+        assert (result.lower, result.upper, result.evaluations) == bracket
+
+
+def test_oracle_split_falls_back_to_the_widest_radius_on_zero_columns():
+    # when every radius wide enough to split sits on a zero column of A, neither weight
+    # picks a coordinate and the widest radius is halved: 31 of the 63 splits of the
+    # first operator; on the second, halving the first of the zero columns wide enough
+    # instead of the widest would take 42 boxes
+    cases = [
+        (((1, 0, 2), (3, 0, -1), (0, 0, 1)), 129),
+        (((-3, -2, 0, 0), (-1, -3, 0, 0), (-2, 2, 0, 0), (-2, -3, 0, 0)), 26),
+    ]
+    for rows, evaluations in cases:
+        result = brute_force_min(Dense(rows), Fraction(1, 16))
+        assert (result.lower, result.upper, result.evaluations) == (0, 0, evaluations)
+
+
+def test_oracle_split_plans_live_for_one_call():
+    # equal dimension and h give both operators the same radii, so a plan that
+    # outlived its call would split one operator with the other's columns
+    a = deflation_operator(4)
+    b = random_structured_operator(random.Random(2), 4)
+    fresh = [(a, (Fraction(17, 32), Fraction(137, 256), 380)), (b, (Fraction(17, 64), Fraction(299, 1024), 694))]
+    for op, bracket in fresh * 2:  # A, B, A, B
+        result = brute_force_min(op, Fraction(1, 64))
+        assert (result.lower, result.upper, result.evaluations) == bracket
+
+
 def test_oracle_budget_binds_before_a_fine_resolution_costs_anything():
     # h = 10^-300 puts about 1,000 binary digits below the unit radius
     with pytest.raises(BudgetExceededError) as excinfo:
