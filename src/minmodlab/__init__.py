@@ -33,24 +33,17 @@ from .minmod import (
     BudgetExceededError,
     MinModResult,
     OracleResult,
-    PerturbationGain,
     brute_force_min,
     facet_minima,
     min_modulus_sup,
-    perturbation_gain,
 )
 from .constructions import (
-    CounterexampleFamily,
-    FamilyKind,
     c0_family,
     closed_form_min_modulus,
     deflation,
     deflation_operator,
     deflation_repair,
-    direct_sum_family,
-    direct_sum_minimizer,
     direct_sum_operator,
-    direct_sum_perturbation,
     geometric_functional,
     minimizing_vector,
     shifted_geometric_functional,

@@ -59,7 +59,6 @@ from .harness import (
 )
 from .linops import Dense, Operator, RankOne, add, diagonal, identity
 from .minmod import ORACLE_POINT_BUDGET, BudgetExceededError, brute_force_min, facet_minima, min_modulus_sup
-from .minmod import perturbation_gain
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -292,18 +291,20 @@ def _cmd_oracle(args):
 
 
 def _cmd_perturb(args):
-    family = c0_family(args.n)
-    gain = perturbation_gain(family.operator, family.perturbation)
+    T, K = c0_family(args.n)
+    base = min_modulus_sup(T).value
+    perturbed = min_modulus_sup(add(T, K)).value
+    gain = perturbed - base
     header = (
-        ("m_T", format_rational(gain.base)),
-        ("m_TK", format_rational(gain.perturbed)),
-        ("gain", format_rational(gain.gain)),
+        ("m_T", format_rational(base)),
+        ("m_TK", format_rational(perturbed)),
+        ("gain", format_rational(gain)),
     )
     report = Report(
         kind="perturb",
         header=header,
         columns=("quantity", "value"),
-        rows=(("m_T", gain.base), ("m_TK", gain.perturbed), ("gain", gain.gain)),
+        rows=(("m_T", base), ("m_TK", perturbed), ("gain", gain)),
     )
     return report, EXIT_OK, None
 

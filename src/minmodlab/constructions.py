@@ -6,28 +6,13 @@ vanishing first slot, the rank-one deflation T = I - e_1 (x) f it induces,
 the rank-one repair K = e_1 (x) f with T + K = I, and the flat vectors
 x = e_1 + (1/2) sum_{j>=2} e_j along which sup_norm(Tx) descends to its
 unattained infimum 1/2.
-
-The direct-sum builders realize the same picture on a section of
-K (+)_inf Y: the first coordinate is the distinguished scalar slot, the
-functional only reads the Y part.  With the shifted geometric functional
-on Y the two routes must agree entrywise — that identity is what the
-splitting is for, and the tests hold the builders to it.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import (
-    Covector,
-    Rational,
-    Vector,
-    basis_vector,
-    dual_norm_l1,
-    sup_norm,
-)
+from .exactnum import Covector, Rational, Vector, basis_vector
 from .linops import Dense, RankOne
 
 _ZERO = Fraction(0)
@@ -98,75 +83,18 @@ def closed_form_min_modulus(n: int) -> Rational:
     return _ONE / (2 - Fraction(1, 2 ** (n - 1)))
 
 
-def _lift(f_y: Covector) -> Covector:
-    """f_y read on the direct sum: the scalar slot is ignored."""
-    return Covector((_ZERO,) + f_y.coeffs)
-
-
 def direct_sum_operator(f_y: Covector) -> Dense:
     """T(a, y) = (a - f_y(y), y) on the scalar-slot direct sum.
 
     The section has dimension 1 + len(f_y); the functional is lifted to
-    ignore the scalar slot.
+    ignore the scalar slot.  With the shifted geometric functional on Y it
+    is deflation_operator(1 + len(f_y)) entry for entry.
     """
-    return deflation(_lift(f_y))
+    return deflation(Covector((_ZERO,) + f_y.coeffs))
 
 
-def direct_sum_perturbation(f_y: Covector) -> RankOne:
-    """K(a, y) = (f_y(y), 0): repairs the direct-sum deflation to I."""
-    lifted = _lift(f_y)
-    return RankOne(basis_vector(1, len(lifted)), lifted)
-
-
-def direct_sum_minimizer(y: Vector) -> Vector:
-    """(1, y/2) for a unit vector y — the direct-sum descent vector."""
-    if sup_norm(y) != _ONE:
-        raise ValueError("the Y part must be a unit vector")
-    return Vector((_ONE,) + tuple(_HALF * c for c in y.coords))
-
-
-class FamilyKind(enum.Enum):
-    C0 = "c0"
-    DIRECT_SUM = "direct-sum"
-
-
-@dataclass(frozen=True)
-class CounterexampleFamily:
-    """One section of the counterexample, fixed by its functional f.
-
-    Construction checks f: it vanishes on e_1 and has dual norm
-    1 - 2^(1-dim) < 1, with dim = len(f).  The rest is built from it:
-    ``operator`` T = I - e_1 (x) f and ``perturbation`` K = e_1 (x) f, so
-    T + K = I by construction.
-    """
-
-    kind: FamilyKind
-    functional: Covector
-    dim: int = field(init=False)
-    operator: Dense = field(init=False)
-    perturbation: RankOne = field(init=False)
-
-    def __post_init__(self) -> None:
-        f = self.functional
-        if f.coeff(1) != 0:
-            raise ValueError("the functional must vanish on the first basis vector")
-        expected = _ONE - Fraction(1, 2 ** (len(f) - 1))
-        if dual_norm_l1(f) != expected:
-            raise ValueError(f"functional dual norm {dual_norm_l1(f)} != {expected}")
-        object.__setattr__(self, "dim", len(f))
-        object.__setattr__(self, "operator", deflation(f))
-        object.__setattr__(self, "perturbation", RankOne(basis_vector(1, len(f)), f))
-
-
-def c0_family(n: int) -> CounterexampleFamily:
-    """The flat n-section family of the geometric functional."""
+def c0_family(n: int) -> tuple[Dense, RankOne]:
+    """The n-section pair (T, K) = (deflation_operator(n), deflation_repair(n)), so T + K = I."""
     if n < 2:
         raise ValueError("the family needs dimension >= 2 (the tail must be nonempty)")
-    return CounterexampleFamily(FamilyKind.C0, geometric_functional(n))
-
-
-def direct_sum_family(n: int) -> CounterexampleFamily:
-    """The scalar-slot direct-sum family in total dimension n."""
-    if n < 2:
-        raise ValueError("the direct sum needs dimension >= 2")
-    return CounterexampleFamily(FamilyKind.DIRECT_SUM, _lift(shifted_geometric_functional(n - 1)))
+    return deflation_operator(n), deflation_repair(n)

@@ -14,6 +14,7 @@ when it is 1), vectors and covectors as ordered lists of such strings.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -48,8 +49,22 @@ def as_rational(value: RationalInput) -> Rational:
 
 
 def format_rational(value: Rational) -> str:
-    """Exact wire format ``p/q``, with ``/q`` omitted when q = 1."""
-    return str(as_rational(value))
+    """Exact wire format ``p/q``, with ``/q`` omitted when q = 1.
+
+    Output has no length cap: a value past the interpreter's int-to-str
+    digit limit is rendered with the limit lifted, and the limit restored.
+    Parsing keeps the limit.
+    """
+    value = as_rational(value)
+    try:
+        return str(value)
+    except ValueError:  # only interpreters with the limit raise, so they have its setters
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def parse_rational(text: str) -> Rational:

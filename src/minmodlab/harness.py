@@ -102,7 +102,7 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
-    T is ``deflation_operator(N)``, the operator of ``c0_family(N)``.  Every
+    T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``.  Every
     row checks that m(T) equals the closed form exactly, and the
     non-attainment shape of the witness: |x_1| = 1 while every tail modulus
     stays strictly inside (1/2, 1), the tension that prevents a limiting

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import inf, lcm
-from typing import NamedTuple
 
 from .exactnum import Rational, RationalInput, Vector, as_rational
-from .linops import Operator, add, materialize, op_norm_sup
+from .linops import Operator, materialize, op_norm_sup
 from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
@@ -371,18 +370,3 @@ def brute_force_min(
         covering_radius=step / 2,
         evaluations=evaluations,
     )
-
-
-class PerturbationGain(NamedTuple):
-    """Exact before/after minimum moduli of a perturbation study."""
-
-    base: Rational
-    perturbed: Rational
-    gain: Rational
-
-
-def perturbation_gain(T: Operator, K: Operator) -> PerturbationGain:
-    """m(T), m(T+K), and their difference, all exact."""
-    base = min_modulus_sup(T).value
-    perturbed = min_modulus_sup(add(T, K)).value
-    return PerturbationGain(base, perturbed, perturbed - base)

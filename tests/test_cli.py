@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -342,6 +343,30 @@ def test_oracle_rejects_non_rational_resolution(capsys):
     assert code == EXIT_USAGE
 
 
+def _huge_entry(rng: random.Random) -> str:
+    # 1,500 digits over 1,500 digits: each part parses under the interpreter's 4,300-digit limit
+    return f"{rng.randrange(10**1499, 10**1500)}/{rng.randrange(10**1499, 10**1500)}"
+
+
+def test_huge_exact_results_are_reported_not_refused(tmp_path, capsys):
+    # the bracket's numerators pass the int-to-str digit limit; output lifts it, parsing keeps it
+    rng = random.Random(1)
+    path = tmp_path / "huge.mat"
+    path.write_text("3\n" + "".join(" ".join(_huge_entry(rng) for _ in range(3)) + "\n" for _ in range(3)))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "oracle", str(path), "3", "1/2", "--point-budget", "50")
+    assert (code, err) == (EXIT_OK, "")
+    upper = next(ln for ln in out.splitlines() if ln.startswith("# upper="))
+    assert len(upper) > 4300 and "/" in upper
+    assert out.splitlines()[-2].startswith("upper," + upper[len("# upper="):])
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        path.write_text(f"1\n{10**4000}{10**999}\n")  # one 5,001-digit entry
+        code, out, err = run_cli(capsys, "minmod", str(path), "1")
+        assert (code, out) == (EXIT_IO, "")
+        assert "row 1" in err
+
+
 # --- perturb -------------------------------------------------------------------
 
 
@@ -402,6 +427,13 @@ def test_report_header_echoes_the_parsed_arguments(capsys):
         assert f"# command={argv[0]}\n" in out
         echoed = [ln[len("# config."):] for ln in out.splitlines() if ln.startswith("# config.")]
         assert echoed == expected
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "c0_family" in example
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_out_writes_the_report_to_a_file(tmp_path, capsys):

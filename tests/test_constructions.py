@@ -9,16 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmodlab.constructions import (
-    CounterexampleFamily,
-    FamilyKind,
     c0_family,
     closed_form_min_modulus,
+    deflation,
     deflation_operator,
     deflation_repair,
-    direct_sum_family,
-    direct_sum_minimizer,
     direct_sum_operator,
-    direct_sum_perturbation,
     geometric_functional,
     minimizing_vector,
     shifted_geometric_functional,
@@ -137,60 +133,49 @@ def test_direct_sum_agrees_with_the_flat_route():
         split = materialize(direct_sum_operator(f_y))
         flat = materialize(deflation_operator(n))
         assert split.entries == flat.entries
-        assert materialize(direct_sum_perturbation(f_y)).entries == (
+        # the repair of the split route, e_1 (x) (0, f_y), is the flat repair
+        lifted = Covector((0,) + f_y.coeffs)
+        assert materialize(RankOne(basis_vector(1, n), lifted)).entries == (
             materialize(deflation_repair(n)).entries
         )
-
-
-def test_direct_sum_minimizer_shape():
-    y = Vector([1, 0, 0])
-    assert direct_sum_minimizer(y).coords == (1, Fraction(1, 2), 0, 0)
-    with pytest.raises(ValueError):
-        direct_sum_minimizer(Vector(["1/2", 0]))
 
 
 def test_direct_sum_minimizer_value_identity():
     # sup_norm(T(1, y/2)) = max(|1 - f_y(y)/2|, 1/2) for any unit y
     f_y = shifted_geometric_functional(4)
     for y in (Vector([1, 1, 1, 1]), Vector([1, "-1/2", 0, 1]), basis_vector(3, 4)):
-        image = direct_sum_operator(f_y).apply(direct_sum_minimizer(y))
+        assert sup_norm(y) == 1
+        image = direct_sum_operator(f_y).apply(Vector((1,) + tuple(c / 2 for c in y.coords)))
         expected = max(abs(1 - f_y(y) / 2), Fraction(1, 2))
         assert sup_norm(image) == expected
-
-
-def test_families_validate_and_expose_their_parts():
-    flat = c0_family(5)
-    assert flat.kind is FamilyKind.C0
-    assert flat.dim == 5
-    assert flat.functional == geometric_functional(5)
-
-    split = direct_sum_family(5)
-    assert split.kind is FamilyKind.DIRECT_SUM
-    assert materialize(split.operator).entries == materialize(flat.operator).entries
-
-    for n in range(2, 9):
-        for family in (c0_family(n), direct_sum_family(n)):
-            assert family.dim == n
-            assert add(family.operator, family.perturbation) == identity(n)
-
-
-def test_family_rejects_a_corrupted_functional():
-    bad = geometric_functional(4).replace_coeff(2, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        CounterexampleFamily(FamilyKind.C0, bad)
-
-
-def test_family_rejects_nonvanishing_first_slot():
-    shifted = Covector((Fraction(1, 8),) + geometric_functional(4).coeffs[1:])
-    with pytest.raises(ValueError):
-        CounterexampleFamily(FamilyKind.C0, shifted)
 
 
 def test_family_dimension_floor():
     with pytest.raises(ValueError):
         c0_family(1)
-    with pytest.raises(ValueError):
-        direct_sum_family(1)
+
+
+def test_family_is_the_deflation_and_its_repair():
+    for n in range(2, 9):
+        T, K = c0_family(n)
+        assert T == deflation_operator(n)
+        assert K == deflation_repair(n)
+        assert add(T, K) == identity(n)
+
+
+_T_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=8))
+def test_any_functional_deflation_has_the_closed_form_along_its_repair(tail):
+    # for any f with f(e_1) = 0, T + tK = I - e_1 (x) (1 - t)f has inverse I + e_1 (x) (1 - t)f,
+    # whose largest row l1 sum is 1 + |1 - t|·||f||_1; no geometric coefficients are needed
+    f = Covector((0,) + tuple(tail))
+    norm = dual_norm_l1(f)
+    for t in _T_VALUES:
+        op = add(deflation(f), RankOne(basis_vector(1, len(f)), Covector(tuple(t * c for c in f.coeffs))))
+        assert min_modulus_sup(op).value == 1 / (1 + abs(1 - t) * norm)
 
 
 def test_dimension_validation():

