@@ -68,10 +68,21 @@ def format_rational(value: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Inverse of :func:`format_rational`; accepts only ``p`` or ``p/q`` with q != 0."""
+    """Inverse of :func:`format_rational`; accepts only ``p`` or ``p/q`` with q != 0.
+
+    A well-formed literal is refused only past the interpreter's int-to-str
+    digit limit, which parsing keeps; the error names the limit.
+    """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError:  # only interpreters with the limit raise, so they have its getter
+        digits = max(len(part) for part in text.strip().lstrip("+-").split("/"))
+        raise ValueError(
+            f"an entry of {digits} digits is too long for the lab's parser, "
+            f"whose limit is {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class _Entries:

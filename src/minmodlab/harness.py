@@ -336,8 +336,10 @@ def rank_one_search(
     and g = G/e_g in lowest terms, and the step is 2^-shift.  A proposal is
     the O(N^2) Sherman-Morrison update of M/d by U (x) G / (e_u e_g), read
     as (|d|, R) with m = |d|/R, its witness re-verified; scores are compared
-    by cross-multiplying, and the final recomputation is certified.  A
-    singular T has no inverse, so then each T + K is inverted afresh.
+    by cross-multiplying, and the final recomputation is certified.  A move
+    of one factor leaves the other's product with M as it was, so a memo
+    for this call computes MU once per distinct U and GM once per distinct
+    G.  A singular T has no inverse, so then each T + K is inverted afresh.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -363,6 +365,7 @@ def rank_one_search(
     rng = random.Random(seed)
     evaluations = 0
     p, q = budget.numerator, budget.denominator
+    memo: dict = {}  # M U by U, G M by G and M's columns, for this call's M alone
 
     def rank_one(U, e_u, G, e_g) -> RankOne:
         return RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G))
@@ -384,7 +387,7 @@ def rank_one_search(
             return value.numerator, value.denominator
         U, e_u, G, e_g = state
         update = (U, G, e_u * e_g)
-        return minmod._read_inverse(*minmod._rank_one_update(inverse, d, update), base, update)[:2]
+        return minmod._read_inverse(*minmod._rank_one_update(inverse, d, update, memo), base, update)[:2]
 
     def beats(s, t) -> bool:
         return s[0] * t[1] > t[0] * s[1]

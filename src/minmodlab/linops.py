@@ -4,7 +4,8 @@
 matrix, so the builders (``identity``, ``diagonal``, ``add``) return a
 ``Dense`` eagerly.  ``RankOne`` only records the two factors of u (x) g,
 the form in which perturbations are searched and reported; the builders
-and ``materialize`` take its outer product.
+and ``materialize`` take its outer product, and ``op_norm_sup`` reads its
+factors alone.
 The sup-operator norm is the maximal row l1 sum of the matrix.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
@@ -112,6 +113,9 @@ def materialize(operator: Operator) -> Dense:
 def op_norm_sup(operator: Operator) -> Rational:
     """Exact operator norm for the sup norm: max row l1 sum.
 
-    The sign vector of a maximal row (zero entries +1) attains it.
+    The sign vector of a maximal row (zero entries +1) attains it.  Row i of
+    u (x) g sums to |u_i| ||g||_1, so a ``RankOne`` is read off its factors.
     """
+    if isinstance(operator, RankOne):
+        return max(map(abs, operator.direction.coords)) * sum(map(abs, operator.functional.coeffs), _ZERO)
     return max(sum((abs(e) for e in row if e), _ZERO) for row in materialize(operator).entries)

@@ -5,8 +5,12 @@ S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One fraction-free elimination gives S = M/d
 in integers; A M = d diag(D), summed in C over A's nonzeros, proves the lower
-bound and the re-verified witness the upper one.  ``_rank_one_update`` turns
-M/d into (T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once.
+bound and the re-verified witness the upper one.  The elimination is an
+in-place Gauss-Jordan on N columns: the settled columns of A and the identity
+columns of the right block, which no step reads, are never stored.
+``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
+so the search inverts T once, and reuses MU and GM across proposals that
+share a factor.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -77,30 +81,44 @@ def _integer_matrix(entries) -> tuple[list[list[int]], int]:
 def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
     """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: with p the pivot of
-    column c (its first nonzero at or below the diagonal) and prev the one
-    before, every other row becomes (p a_r - a_rc a_c) / prev, an exact
-    division.  The left block ends as p I, so A R = p I for the right block
-    R and T^-1 = R diag(D) / p.  With no pivot in column c, the columns
-    before it are prev e_r, so (-a_rc for r < c, prev, 0, ...) is in the kernel.
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I], in place on N columns:
+    with p the pivot of column c (its first nonzero at or below the
+    diagonal) and prev the one before, every other row becomes
+    (p a_r - a_rc a_c) / prev, an exact division.  The left block's settled
+    columns are p I, which no later step reads, and the right block's
+    columns past c are still prev I, so column c of the one array holds A's
+    column until step c and the right block's column c after it:
+    -a_rc, with prev in the pivot row.  The left block ends as p I, so
+    A R = p I for the right block R, whose columns come back in order once
+    the row swaps are undone as column swaps in reverse, and
+    T^-1 = R diag(D) / p.  With no pivot in column c, the columns before it
+    are prev e_r, so (-a_rc for r < c, prev, 0, ...) is in the kernel.
     """
     n = len(rows)
-    a = [row + [0] * i + [1] + [0] * (n - i - 1) for i, row in enumerate(rows)]
+    a = [list(row) for row in rows]
+    swaps = []
     prev = 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if a[r][c]), None)
         if pivot is None:
             return [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
-        a[c], a[pivot] = a[pivot], a[c]
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            swaps.append((c, pivot))
         p = a[c][c]
         for r in range(n):
             f = a[r][c]
             if r != c and (f or p != prev):  # a row with f = 0 is still scaled by p/prev
                 a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[c])]
+                a[r][c] = -f
+        a[c][c] = prev
         prev = p
+    for c, pivot in reversed(swaps):  # R = R' P for the right block R' of the swapped rows P A
+        for row in a:
+            row[c], row[pivot] = row[pivot], row[c]
     sign = 1 if prev > 0 else -1
     scale = [sign * D for D in denominators]  # M = R diag(D) sign(p), one C loop per row
-    return [list(map(operator.mul, row[n:], scale)) for row in a], sign * prev
+    return [list(map(operator.mul, row, scale)) for row in a], sign * prev
 
 
 def _certified_inverse(entries) -> tuple[list, int, tuple]:
@@ -125,7 +143,7 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
     return inverse, d, (rows, denominators)
 
 
-def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]:
+def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None = None) -> tuple[list, int]:
     """(M', d') with (T + U (x) G / e)^-1 = M'/d', from T^-1 = M/d.
 
     Sherman-Morrison, S - (Su)(gS)/(1 + g Su), in integers: with a = MU and
@@ -133,13 +151,23 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple) -> tuple[list, int]
     When den = 0, T + U (x) G / e is singular and (a, 0) comes back: a != 0
     is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.  Each
     dot product in a, den and b = G M is one C loop, sum(map(operator.mul, u, v)).
+    ``memo``, a dict owned by one caller and one M, keeps a by U, b by G and
+    M's columns, so a search whose proposals move one factor at a time
+    computes each product once; nothing in it is ever mutated.
     """
     U, G, e = rank_one
-    a = [sum(map(operator.mul, row, U)) for row in inverse]
+    memo = {} if memo is None else memo
+    a = memo.get(key := ("a", *U))
+    if a is None:
+        a = memo[key] = [sum(map(operator.mul, row, U)) for row in inverse]
     den = d * e + sum(map(operator.mul, G, a))
     if not den:
         return a, 0
-    b = [sum(map(operator.mul, G, column)) for column in zip(*inverse)]
+    b = memo.get(key := ("b", *G))
+    if b is None:
+        if "columns" not in memo:
+            memo["columns"] = list(zip(*inverse))
+        b = memo[key] = [sum(map(operator.mul, G, column)) for column in memo["columns"]]
     return [[den * m - ai * bj for m, bj in zip(row, b)] for row, ai in zip(inverse, a)], d * den
 
 

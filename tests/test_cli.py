@@ -367,6 +367,20 @@ def test_huge_exact_results_are_reported_not_refused(tmp_path, capsys):
         assert "row 1" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_an_entry_past_the_digit_limit_is_named(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "m.txt"
+    path.write_text(f"1\n{'7' * (limit + 701)}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "minmod", str(path), "1")
+    assert (code, out) == (EXIT_IO, "")
+    assert err == (
+        f"error: {path}: row 1: an entry of {limit + 701} digits is too long for the lab's parser, "
+        f"whose limit is {limit} digits\n"
+    )
+    assert "set_int_max_str_digits" not in err
+
+
 # --- perturb -------------------------------------------------------------------
 
 

@@ -44,7 +44,9 @@ _FROZEN_VALUES = {
 
 
 def test_convergence_frozen_rows():
+    # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
     report = convergence_study(2, 6)
+    assert report == convergence_study(2, 6)
     assert not report.partial
     assert [r.n for r in report.rows] == [2, 3, 4, 5, 6]
     values = {r.n: r.value for r in report.rows}
@@ -56,14 +58,6 @@ def test_convergence_frozen_rows():
         assert r.value == r.closed_form
         assert r.gap == r.value - Fraction(1, 2)
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
-
-
-def test_convergence_builds_no_family():
-    # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
-    expected = convergence_study(2, 6)
-    report = convergence_study(2, 6)
-    assert report == expected
-    assert {r.n: r.value for r in report.rows} == _FROZEN_VALUES
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
@@ -428,6 +422,19 @@ def test_search_inverts_an_invertible_operator_once(monkeypatch):
     calls.clear()
     outcome = rank_one_search(_singular_dense(random.Random(4), 3), 1, seed=3, iterations=10)
     assert len(calls) == outcome.evaluations + 2
+
+
+def test_search_products_live_for_one_call():
+    # equal seeds start both searches at the same (U, G), so a memo of M U and G M that
+    # outlived its call would score one operator's proposals with the other's products
+    a = deflation_operator(5)
+    b = _invertible_dense(random.Random(9), 5)
+    cases = [(a, Fraction(2470307, 2982611)), (b, Fraction(2286577163239, 1548405684260))]
+    first = {}
+    for k, (op, value) in enumerate(cases * 2):  # A, B, A, B
+        outcome = rank_one_search(op, 1, seed=11, iterations=40)
+        assert outcome == first.setdefault(k % 2, outcome)
+        assert (outcome.perturbed_value, outcome.evaluations) == (value, 81)
 
 
 def test_search_validation():

@@ -113,6 +113,18 @@ def test_rank_one_norm_is_product_of_norms():
     assert op_norm_sup(RankOne(u, g)) == 1 * Fraction(3, 4)
 
 
+_FACTOR_ENTRY = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(_FACTOR_ENTRY, min_size=n, max_size=n), st.lists(_FACTOR_ENTRY, min_size=n, max_size=n))))
+def test_rank_one_norm_read_off_the_factors_matches_its_matrix(factors):
+    # max |u_i| * l1(g), read without the outer product, is the largest row l1 sum of u (x) g
+    k = RankOne(Vector(factors[0]), Covector(factors[1]))
+    assert op_norm_sup(k) == op_norm_sup(materialize(k))
+
+
 def test_sum_and_scaled_materialize_entrywise():
     a = Dense(((1, 0), ("1/2", "1/3")))
     b = Dense(((0, 1), (1, "-1/3")))

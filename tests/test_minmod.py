@@ -168,6 +168,59 @@ def test_fraction_free_inverse_returns_a_kernel_vector_when_singular():
         assert not any(t.apply(Vector(kernel)).coords)
 
 
+def _det(rows: list) -> Fraction:
+    """det A by exact Gaussian elimination on Fractions, independent of the engine."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot], det = a[pivot], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def test_in_place_elimination_puts_swapped_columns_back():
+    # the elimination stores the inverse's columns where A's were, so every row
+    # swap must be undone as a column swap, in reverse order
+    eliminate = minmodlab.minmod._fraction_free_inverse
+    for n in range(1, 9):
+        # the anti-diagonal needs a swap at each of its first n // 2 pivots and is its own inverse
+        flip = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+        assert eliminate(flip, [1] * n) == (flip, 1)
+    rng = random.Random(21)
+    for _ in range(40):  # a random permutation's swaps overlap, so their order matters
+        n = rng.randint(2, 8)
+        order = rng.sample(range(n), n)
+        perm = [[int(j == order[i]) for j in range(n)] for i in range(n)]
+        assert eliminate(perm, [1] * n) == ([list(column) for column in zip(*perm)], 1)
+
+    invertible = 0
+    for _ in range(150):  # about half the entries zero, so most pivots are searched for
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        inverse, d = eliminate(rows, [1] * n)
+        det = _det(rows)
+        if not det:
+            assert d == 0 and any(inverse)
+            continue
+        invertible += 1
+        assert d == abs(det)
+        assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(Dense(rows))
+    assert invertible >= 40
+
+    # column 1 needs rows 1 and 2 swapped, and after that column 3 has no pivot
+    singular = [[0, 1, 1], [1, 0, 0], [0, 2, 2]]
+    kernel, d = eliminate(singular, [1, 1, 1])
+    assert d == 0 and any(kernel)
+    assert [sum(a * x for a, x in zip(row, kernel)) for row in singular] == [0, 0, 0]
+
+
 _DENSE = Dense(((Fraction(1, 3), Fraction(-2, 5), 1),
                 (Fraction(3, 7), 1, Fraction(-1, 9)),
                 (Fraction(-5, 3), Fraction(1, 5), Fraction(7, 3))))
