@@ -44,9 +44,7 @@ _FROZEN_VALUES = {
 
 
 def test_convergence_frozen_rows():
-    # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
     report = convergence_study(2, 6)
-    assert report == convergence_study(2, 6)
     assert not report.partial
     assert [r.n for r in report.rows] == [2, 3, 4, 5, 6]
     values = {r.n: r.value for r in report.rows}
@@ -58,6 +56,14 @@ def test_convergence_frozen_rows():
         assert r.value == r.closed_form
         assert r.gap == r.value - Fraction(1, 2)
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
+
+
+def test_convergence_builds_no_family():
+    # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
+    expected = convergence_study(2, 6)
+    report = convergence_study(2, 6)
+    assert report == expected
+    assert {r.n: r.value for r in report.rows} == _FROZEN_VALUES
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
