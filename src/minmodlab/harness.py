@@ -102,10 +102,14 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
-    T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``.  Every
+    T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``, read
+    as the leading N-section of the one ``deflation_operator`` built, at the
+    largest N studied.  Each section is certified on its own and read by the
+    integer reader as (|d|, R, z), m(T) = |d|/R with witness z/R.  Every
     row checks that m(T) equals the closed form exactly, and the
-    non-attainment shape of the witness: |x_1| = 1 while every tail modulus
-    stays strictly inside (1/2, 1), the tension that prevents a limiting
+    non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
+    while every tail modulus stays strictly inside (1/2, 1)
+    (R < 2 |z_j| and |z_j| < R), the tension that prevents a limiting
     minimizer from existing.  The gap m(T) - 1/2 = 1/(2(2^N - 1)) then lies
     in (0, 2^-N] and strictly decreases in N, so it needs no check of its
     own.  Violations raise :class:`InvariantViolation` rather than
@@ -121,26 +125,27 @@ def convergence_study(
         raise ValueError("the dimension budget must be at least 1")
     limit = min(n_max, lp_dimension_budget)
     rows = []
+    entries = deflation_operator(limit).entries if limit >= n_min else ()
     for n in range(n_min, limit + 1):
-        result = min_modulus_sup(deflation_operator(n))
-        expected = closed_form_min_modulus(n)
-        if result.value != expected:
-            raise InvariantViolation(f"m at N={n} is {result.value}, closed form {expected}")
-        first = abs(result.witness.coord(1))
-        if first != _ONE:
-            raise InvariantViolation(f"minimizer at N={n} has |x_1| = {first} != 1")
-        tail = [abs(c) for c in result.witness.coords[1:]]
+        block = [row[:n] for row in entries[:n]]  # deflation_operator(n), the leading n-section
+        d, norm, z = minmod._read_inverse(*minmod._certified_inverse(block))
+        value, expected = Fraction(d, norm), closed_form_min_modulus(n)
+        if value != expected:
+            raise InvariantViolation(f"m at N={n} is {value}, closed form {expected}")
+        if abs(z[0]) != norm:  # the witness is z/R with R = norm
+            raise InvariantViolation(f"minimizer at N={n} has |x_1| = {Fraction(abs(z[0]), norm)} != 1")
+        tail = [abs(c) for c in z[1:]]
         tail_min, tail_max = min(tail), max(tail)
-        if not (_HALF < tail_min and tail_max < _ONE):
+        if not (norm < 2 * tail_min and tail_max < norm):
             raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
         rows.append(
             ConvergenceRow(
                 n=n,
-                value=result.value,
+                value=value,
                 closed_form=expected,
-                witness_min_tail=tail_min,
-                witness_max_tail=tail_max,
-                gap=result.value - _HALF,
+                witness_min_tail=Fraction(tail_min, norm),
+                witness_max_tail=Fraction(tail_max, norm),
+                gap=value - _HALF,
             )
         )
     return ConvergenceReport(

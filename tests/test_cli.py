@@ -211,6 +211,7 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
 _FROZEN_STDOUT = {
     ("converge", "2", "12"): "716dfd3502c74a0c3ce588f7a61850ee520d5fd87439fa7f971796462880c0da",
     ("converge", "2", "30"): "2514d8aba51ae1c37dcb3026b648f0b4332773cf9968d6758e77d3bf7c9c22cc",
+    ("converge", "2", "64"): "e88664f12d23001d8da66b9b60c96975f8d39a67fc2a677f8b1d14f1a565b60e",  # the default cap
     ("oracle", "direct-sum", "4", "1/64"): (
         "5bb49add2ad185282dacde5966b39480be4d178b52cbf55039d6912f7a8529c7"
     ),
@@ -303,7 +304,10 @@ def test_converge_budget_exit(capsys):
     assert code == EXIT_BUDGET
     assert "# partial=true" in out
     assert "4,8/15" in out
-    assert "budget" in err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b66876b4c935170d3e51708eca141a254d5ec922967964bd08f2757dd9e07fee"
+    )
+    assert err == "converge: stopped at the dimension budget 4 (requested up to 9)\n"
     for budget in ("0", "-1"):
         code, out, err = run_cli(capsys, "converge", "2", "3", "--lp-budget", budget)
         assert code == EXIT_USAGE

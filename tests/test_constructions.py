@@ -163,6 +163,14 @@ def test_family_is_the_deflation_and_its_repair():
         assert add(T, K) == identity(n)
 
 
+def test_each_section_leads_every_larger_section():
+    # deflation_operator(n) is the leading n-section of deflation_operator(m), so one build holds them all
+    sections = {m: deflation_operator(m).entries for m in range(1, 65)}
+    for m, entries in sections.items():
+        for n in range(1, m + 1):
+            assert tuple(row[:n] for row in entries[:n]) == sections[n]
+
+
 _T_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -10,14 +9,15 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import minmodlab.harness
 from minmodlab import minmod
-from minmodlab.constructions import deflation_operator, minimizing_vector
+from minmodlab.constructions import closed_form_min_modulus, deflation_operator, minimizing_vector
 from minmodlab.exactnum import Covector, Vector, basis_vector
 from minmodlab.harness import (
+    ConvergenceRow,
     InvariantViolation,
     Report,
     WeakNullStatus,
@@ -67,19 +67,74 @@ def test_convergence_builds_no_family():
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
-    # the value is right, but |x_1| != 1 or a tail modulus leaves (1/2, 1)
-    true_result = min_modulus_sup(deflation_operator(3))
+    # the reader's (|d|, R, z) at N=3 is (4, 7, [7, 4, 4]); scaled by 4, each bent value is an integer
+    # over R = 28: the value is right but |x_1| != 1 or a tail modulus leaves (1/2, 1), or |d| is wrong
+    d, norm, z = minmod._read_inverse(*minmod._certified_inverse(deflation_operator(3).entries))
+    assert (d, norm, z) == (4, 7, [7, 4, 4])
+    d, norm, z = 4 * d, 4 * norm, [4 * c for c in z]
     bent = [
-        (1, Fraction(3, 4), r"\|x_1\| = 3/4"),
-        (2, Fraction(1, 2), r"escapes \(1/2, 1\)"),
-        (3, Fraction(-1), r"escapes \(1/2, 1\)"),
+        ((d, norm, [21, *z[1:]]), r"\|x_1\| = 3/4"),
+        ((d, norm, [z[0], 14, z[2]]), r"escapes \(1/2, 1\)"),
+        ((d, norm, [*z[:2], -28]), r"escapes \(1/2, 1\)"),
+        ((d + 4, norm, z), r"m at N=3 is 5/7, closed form 4/7"),
     ]
-    for j, value, message in bent:
-        witness = true_result.witness.replace_coord(j, value)
-        fake = dataclasses.replace(true_result, witness=witness)
-        monkeypatch.setattr(minmodlab.harness, "min_modulus_sup", lambda op, fake=fake: fake)
+    for fake, message in bent:
+        monkeypatch.setattr(minmod, "_read_inverse", lambda *args, fake=fake: fake)
         with pytest.raises(InvariantViolation, match=message):
             convergence_study(3, 3)
+
+
+def _counted(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends each call's arguments to the returned list."""
+    calls = []
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch):
+    builds = _counted(monkeypatch, minmodlab.harness, "deflation_operator")
+    eliminations = _counted(monkeypatch, minmod, "_fraction_free_inverse")
+    readings = _counted(monkeypatch, minmod, "_read_inverse")
+    sweeps = _counted(monkeypatch, minmodlab.harness, "min_modulus_sup")
+    report = convergence_study(2, 12)
+    assert [r.n for r in report.rows] == list(range(2, 13))
+    assert builds == [(12,)]
+    # one certified elimination and one witness re-verification per section, each on its own N
+    assert [len(rows) for rows, _ in eliminations] == list(range(2, 13))
+    assert [len(inverse) for inverse, *_ in readings] == list(range(2, 13))
+    assert sweeps == []
+
+    builds.clear()
+    eliminations.clear()
+    report = convergence_study(5, 9, lp_dimension_budget=3)
+    assert (report.rows, report.partial) == ((), True)
+    assert builds == eliminations == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounds=st.lists(st.integers(2, 24), min_size=2, max_size=2).map(sorted), budget=st.integers(1, 30))
+@example(bounds=[5, 9], budget=3)
+@example(bounds=[4, 9], budget=4)
+@example(bounds=[2, 2], budget=1)
+def test_convergence_matches_fresh_sections(bounds, budget):
+    # every row as it reads off min_modulus_sup of a freshly built deflation_operator(n)
+    n_min, n_max = bounds
+    limit = min(n_max, budget)
+    expected = []
+    for n in range(n_min, limit + 1):
+        result = min_modulus_sup(deflation_operator(n))
+        tail = [abs(c) for c in result.witness.coords[1:]]
+        gap = result.value - Fraction(1, 2)
+        expected.append(ConvergenceRow(n, result.value, closed_form_min_modulus(n), min(tail), max(tail), gap))
+    report = convergence_study(n_min, n_max, lp_dimension_budget=budget)
+    assert report.rows == tuple(expected)
+    assert report.partial == (limit < n_max)
 
 
 def test_convergence_respects_the_dimension_budget():
