@@ -104,18 +104,18 @@ def convergence_study(
 
     T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``, read
     as the leading N-section of the one ``deflation_operator`` built, at the
-    largest N studied.  Each section is certified on its own and read by the
-    integer reader as (|d|, R, z), m(T) = |d|/R with witness z/R.  Every
-    row checks that m(T) equals the closed form exactly, and the
-    non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
-    while every tail modulus stays strictly inside (1/2, 1)
-    (R < 2 |z_j| and |z_j| < R), the tension that prevents a limiting
-    minimizer from existing.  The gap m(T) - 1/2 = 1/(2(2^N - 1)) then lies
-    in (0, 2^-N] and strictly decreases in N, so it needs no check of its
-    own.  Violations raise :class:`InvariantViolation` rather than
-    producing a quiet bad row.  Sections beyond ``lp_dimension_budget``
-    are not attempted: the report comes back flagged partial with every
-    completed row intact.
+    largest N studied.  Each section's inverse is bordered from the previous
+    section, certified per section, and read by the integer reader as
+    (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row checks that m(T)
+    equals the closed form exactly, and the non-attainment shape of the
+    witness, in integers: |x_1| = 1 (|z_1| = R) while every tail modulus
+    stays strictly inside (1/2, 1) (R < 2 |z_j| and |z_j| < R), the tension
+    that prevents a limiting minimizer from existing.  The gap
+    m(T) - 1/2 = 1/(2(2^N - 1)) then lies in (0, 2^-N] and strictly
+    decreases in N, so it needs no check of its own.  Violations raise
+    :class:`InvariantViolation` rather than producing a quiet bad row.
+    Sections beyond ``lp_dimension_budget`` are not attempted: the report
+    comes back flagged partial with every completed row intact.
     """
     if n_min < 2:
         raise ValueError("the study starts at dimension 2 (dimension 1 has no tail)")
@@ -126,9 +126,8 @@ def convergence_study(
     limit = min(n_max, lp_dimension_budget)
     rows = []
     entries = deflation_operator(limit).entries if limit >= n_min else ()
-    for n in range(n_min, limit + 1):
-        block = [row[:n] for row in entries[:n]]  # deflation_operator(n), the leading n-section
-        d, norm, z = minmod._read_inverse(*minmod._certified_inverse(block))
+    for n, *section in minmod._leading_inverses(entries, n_min):  # deflation_operator(n), bordered
+        d, norm, z = minmod._read_inverse(*section)
         value, expected = Fraction(d, norm), closed_form_min_modulus(n)
         if value != expected:
             raise InvariantViolation(f"m at N={n} is {value}, closed form {expected}")

@@ -10,7 +10,8 @@ in-place Gauss-Jordan on N columns: the settled columns of A and the identity
 columns of the right block, which no step reads, are never stored.
 ``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
 so the search inverts T once, and reuses MU and GM across proposals that
-share a factor.
+share a factor.  ``_leading_inverses`` walks T's leading sections, each
+inverse bordered from the previous section, certified per section.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -121,17 +122,19 @@ def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
     return [list(map(operator.mul, row, scale)) for row in a], sign * prev
 
 
-def _certified_inverse(entries) -> tuple[list, int, tuple]:
-    """``_fraction_free_inverse`` of T's integer rows A_i = D_i T_i, proved before anything reads it.
-
-    The check is A M = d diag(D), or A a = 0 with a != 0 when d = 0, outside
-    the elimination, so a wrong one cannot vouch for itself; row i of A M is
-    sum_k A_ik M_k over A_i's nonzeros, in C loops.  Also returns base = (A, D).
-    """
+def _integer_rows(entries) -> tuple[list, list]:
+    """(A, D): T's integer rows A_i = D_i T_i, each over the least common denominator D_i of row i."""
     ratios = [[e.as_integer_ratio() for e in row] for row in entries]
     denominators = [lcm(*(q for _, q in row)) for row in ratios]
-    rows = [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)]
-    inverse, d = _fraction_free_inverse(rows, denominators)
+    return [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)], denominators
+
+
+def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
+    """Prove A M = d diag(D) for T = A/D, or A a = 0 with a != 0 when d = 0, or raise.
+
+    The check runs outside the engine that found M, so a wrong one cannot
+    vouch for itself; row i of A M is sum_k A_ik M_k over A_i's nonzeros.
+    """
     if not any(inverse):
         raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
     matrix = inverse if d else [[x] for x in inverse]  # a kernel vector is M with one column
@@ -140,7 +143,43 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
         terms = [map(operator.mul, repeat(c), matrix[k]) for k, c in enumerate(row) if c]
         if list(map(sum, zip(zeros, *terms))) != (zeros[:i] + [d * D] + zeros[i + 1:] if d else zeros):
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
+
+
+def _certified_inverse(entries) -> tuple[list, int, tuple]:
+    """``_fraction_free_inverse`` of T's integer rows, proved by ``_certify``; also returns base = (A, D)."""
+    rows, denominators = _integer_rows(entries)
+    inverse, d = _fraction_free_inverse(rows, denominators)
+    _certify(inverse, d, rows, denominators)
     return inverse, d, (rows, denominators)
+
+
+def _leading_inverses(entries, n_min: int):
+    """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for T's leading n-sections from n_min up.
+
+    T's integer rows are built once, so each A_n is the leading block of one
+    A, bordered from the last by Sylvester's identity in integers: with b, c
+    and delta the new column, row and corner, u = adj b, v = c adj and
+    sigma = delta det - c u = det A_{n+1}, the new adjugate is
+    (sigma adj + u v) / det, an exact division, bordered by -u, -v and det.
+    That needs nonzero leading minors, as a unit upper triangular T has.
+    """
+    rows, denominators = _integer_rows(entries)
+    adj, det = [], 1
+    for n, row in enumerate(rows):
+        b, c = [r[n] for r in rows[:n]], row[:n]
+        u = [sum(map(operator.mul, a, b)) for a in adj]
+        v = [sum(map(operator.mul, c, column)) for column in zip(*adj)]
+        sigma = row[n] * det - sum(map(operator.mul, c, u))
+        if not sigma:
+            raise RuntimeError(f"internal: the leading {n + 1}-section is singular and cannot be bordered")
+        adj = [[(sigma * x + ui * vj) // det for x, vj in zip(a, v)] + [-ui] for a, ui in zip(adj, u)]
+        adj, det = adj + [[*map(operator.neg, v), det]], sigma
+        if n + 1 >= n_min:  # M = adj diag(D_n) sign(det), certified before it is yielded
+            base = [r[:n + 1] for r in rows[:n + 1]], denominators[:n + 1]
+            scale = [D if det > 0 else -D for D in base[1]]
+            inverse = [list(map(operator.mul, a, scale)) for a in adj]
+            _certify(inverse, abs(det), *base)
+            yield n + 1, inverse, abs(det), base
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None = None) -> tuple[list, int]:

@@ -8,19 +8,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minmodlab.lpsolve
 import minmodlab.minmod
 from minmodlab.constructions import (
     closed_form_min_modulus,
+    deflation,
     deflation_operator,
     deflation_repair,
     direct_sum_operator,
     shifted_geometric_functional,
 )
-from minmodlab.exactnum import Vector, basis_vector, sup_norm
+from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm
 from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
 from minmodlab.minmod import (
     BudgetExceededError,
@@ -294,12 +295,72 @@ def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     negative = diagonal([-1, 2, 3])  # its pivot product is -6, so the scaling folds in sign = -1
     cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2), negative]
     expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
+    ladder = list(minmodlab.minmod._leading_inverses(cases[0].entries, 1))
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
         assert [minmodlab.minmod._certified_inverse(op.entries) for op in cases] == expected
+        assert list(minmodlab.minmod._leading_inverses(cases[0].entries, 1)) == ladder
     inverse, d = _eliminate(negative)
     assert d > 0
     assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(negative)
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _sections(draw):
+    # a dense rational T, or a deflation I - e_1 (x) f with f(e_1) = 0, whose leading minors are all 1,
+    # and the first section to yield
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        entries = deflation(Covector([0, *draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))])).entries
+    else:
+        entries = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(n)]
+    return entries, draw(st.integers(1, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sections())
+def test_bordered_sections_match_the_elimination(case):
+    entries, n_min = case
+    n = len(entries)
+    assume(all(_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)))
+    sections = list(minmodlab.minmod._leading_inverses(entries, n_min))
+    assert [k for k, *_ in sections] == list(range(n_min, n + 1))
+    whole, denominators = sections[-1][3]
+    for k, inverse, d, base in sections:
+        block = [list(row[:k]) for row in entries[:k]]
+        expected, e, _ = minmodlab.minmod._certified_inverse(block)
+        assert d > 0
+        assert [[Fraction(m, d) for m in row] for row in inverse] == [[Fraction(m, e) for m in row] for row in expected]
+        # A_k is the leading block of one integer matrix, each row over its whole row's denominator
+        assert base == ([row[:k] for row in whole[:k]], denominators[:k])
+        assert [[Fraction(a, D) for a in row] for row, D in zip(*base)] == block
+
+
+def test_bordering_refuses_a_zero_leading_minor():
+    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]  # invertible, but its 1-section is 0
+    with pytest.raises(RuntimeError, match="internal: the leading 1-section is singular"):
+        list(minmodlab.minmod._leading_inverses(swap, 2))
+    sections = minmodlab.minmod._leading_inverses([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1)
+    assert next(sections)[:3] == (1, [[1]], 1)
+    with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
+        next(sections)
+
+
+def test_certify_rejects_forged_inverses():
+    *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(_DENSE.entries, 1)
+    certify = minmodlab.minmod._certify
+    certify(inverse, d, rows, denominators)
+    forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
+    for i, j in itertools.product(range(n), range(n)):
+        bumped = [list(row) for row in inverse]
+        bumped[i][j] += 1
+        forgeries.append((bumped, d))
+    for forged, forged_d in forgeries:
+        with pytest.raises(RuntimeError, match="certificate"):
+            certify(forged, forged_d, rows, denominators)
 
 
 @settings(max_examples=25, deadline=None)
