@@ -10,8 +10,10 @@ in-place Gauss-Jordan on N columns: the settled columns of A and the identity
 columns of the right block, which no step reads, are never stored.
 ``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
 so the search inverts T once, and reuses MU and GM across proposals that
-share a factor.  ``_leading_inverses`` walks T's leading sections, each
-inverse bordered from the previous section, certified per section.
+share a factor; ``_perturbed_rows`` builds T + U (x) G / e's integer rows
+from T's, for the fresh certified elimination that checks its best score.
+``_leading_inverses`` walks T's leading sections, each inverse bordered
+from the previous section, certified per section.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -43,8 +45,8 @@ import heapq
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import inf, lcm
+from itertools import compress, repeat
+from math import gcd, inf, lcm
 
 from .exactnum import Rational, RationalInput, Vector, as_rational
 from .linops import Operator, materialize, op_norm_sup
@@ -129,28 +131,48 @@ def _integer_rows(entries) -> tuple[list, list]:
     return [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)], denominators
 
 
+def _perturbed_rows(base: tuple, rank_one: tuple) -> tuple[list, list]:
+    """``_integer_rows`` of A/D + U (x) G / e: row i is e A_i + D_i U_i G over e D_i, over their gcd.
+
+    The lcm form of a row of reduced fractions is the one form with gcd 1
+    with its denominator, so no ``Fraction`` sum is needed.
+    """
+    U, G, e = rank_one
+    rows = [[e * a + D * ui * g for a, g in zip(row, G)] + [e * D] for row, D, ui in zip(*base, U)]
+    rows = [[x // h for x in row] for row in rows for h in [gcd(*row)]]  # e D_i rides last, so the gcd covers it
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
     """Prove A M = d diag(D) for T = A/D, or A a = 0 with a != 0 when d = 0, or raise.
 
     The check runs outside the engine that found M, so a wrong one cannot
-    vouch for itself; row i of A M is sum_k A_ik M_k over A_i's nonzeros.
+    vouch for itself; row i of A M is sum_k A_ik M_k over A_i's nonzeros (c M_k
+    for a single nonzero c), and must be zero once d D_i comes off entry i.
     """
     if not any(inverse):
         raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
     matrix = inverse if d else [[x] for x in inverse]  # a kernel vector is M with one column
     zeros = [0] * len(matrix[0])  # the seed of every sum, so a zero row A_i gives zeros, not []
     for i, (row, D) in enumerate(zip(rows, denominators)):  # row i of A M: M's rows at A_i's nonzeros
-        terms = [map(operator.mul, repeat(c), matrix[k]) for k, c in enumerate(row) if c]
-        if list(map(sum, zip(zeros, *terms))) != (zeros[:i] + [d * D] + zeros[i + 1:] if d else zeros):
+        terms = [map(operator.mul, repeat(row[k]), matrix[k]) for k in compress(range(len(row)), row)]
+        product = list(terms[0]) if len(terms) == 1 else list(map(sum, zip(zeros, *terms)))
+        if d:
+            product[i] -= d * D
+        if any(product):
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
 
 
-def _certified_inverse(entries) -> tuple[list, int, tuple]:
-    """``_fraction_free_inverse`` of T's integer rows, proved by ``_certify``; also returns base = (A, D)."""
-    rows, denominators = _integer_rows(entries)
+def _certified_rows(rows: list, denominators: list) -> tuple[list, int, tuple]:
+    """``_fraction_free_inverse`` of the integer rows of T = A/D, proved by ``_certify``; also returns (A, D)."""
     inverse, d = _fraction_free_inverse(rows, denominators)
     _certify(inverse, d, rows, denominators)
     return inverse, d, (rows, denominators)
+
+
+def _certified_inverse(entries) -> tuple[list, int, tuple]:
+    """``_certified_rows`` of T's ``_integer_rows``."""
+    return _certified_rows(*_integer_rows(entries))
 
 
 def _leading_inverses(entries, n_min: int):

@@ -391,7 +391,10 @@ def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
         core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), base, rank_one)
+        # the search's recomputation: T + K's rows from T's, eliminated, certified and read afresh
+        fresh = minmod._read_inverse(*minmod._certified_rows(*minmod._perturbed_rows(base, rank_one)))
     assert _result(*core) == expected
+    assert _result(*fresh) == expected
 
 
 _ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 8)))
@@ -475,6 +478,40 @@ def test_search_proposals_read_the_perturbed_minimum_modulus(monkeypatch):
         for (U, G, e), (value, norm, _) in proposals:
             k = RankOne(Vector(Fraction(c, e) for c in U), Covector(G))
             assert Fraction(value, norm) == min_modulus_sup(add(t, k)).value
+
+
+@st.composite
+def _perturbed_draws(draw):
+    # a rational T with some zero rows, and U (x) G / (e_u e_g) with some zero U_i
+    n = draw(st.integers(1, 6))
+    row = st.one_of(st.just([0] * n), st.lists(_ENTRY, min_size=n, max_size=n))
+    entries = draw(st.lists(row, min_size=n, max_size=n))
+    U = draw(st.lists(_SPARSE, min_size=n, max_size=n))
+    G = draw(st.lists(_SPARSE, min_size=n, max_size=n))
+    return entries, U, G, draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_perturbed_draws())
+@example(([[Fraction(1, 2), Fraction(-3, 4)], [0, 0]], [3, 0], [0, 0], 4, 6))  # G = 0
+def test_perturbed_rows_are_the_integer_rows_of_the_sum(draw):
+    entries, U, G, e_u, e_g = draw
+    k = RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G))
+    expected = minmod._integer_rows(add(Dense(tuple(map(tuple, entries))), k).entries)
+    assert minmod._perturbed_rows(minmod._integer_rows(entries), (U, G, e_u * e_g)) == expected
+
+
+def test_search_rejects_a_score_its_recomputation_disputes(monkeypatch):
+    # proposals read |d|/R + 1, the recomputation, with no rank-one part, the true |d|/R
+    read = minmod._read_inverse
+
+    def inflated(inverse, d, base, rank_one=None):
+        value, norm, z = read(inverse, d, base, rank_one)
+        return (value + norm if rank_one is not None else value), norm, z
+
+    monkeypatch.setattr(minmod, "_read_inverse", inflated)
+    with pytest.raises(InvariantViolation, match="disagrees with its recomputation"):
+        rank_one_search(deflation_operator(3), 1, seed=8, iterations=10)
 
 
 def test_search_inverts_an_invertible_operator_once(monkeypatch):

@@ -362,6 +362,24 @@ def test_certify_rejects_forged_inverses():
         with pytest.raises(RuntimeError, match="certificate"):
             certify(forged, forged_d, rows, denominators)
 
+    # every row of a scaled permutation has one nonzero c at k, so row i of A M is c M_k alone
+    permutation = Dense(((0, 2, 0), (0, 0, Fraction(-3, 4)), (Fraction(1, 2), 0, 0)))
+    inverse, d, (rows, denominators) = minmodlab.minmod._certified_inverse(permutation.entries)
+    forgeries = [(inverse, 2 * d)]
+    for (i, row), j in itertools.product(enumerate(rows), range(3)):
+        k = next(k for k, c in enumerate(row) if c)
+        bumped = [list(r) for r in inverse]
+        bumped[k][j] += 1  # an off-diagonal nonzero in M_k when j != i, a wrong diagonal when j = i
+        forgeries.append((bumped, d))
+    for forged, forged_d in forgeries:
+        with pytest.raises(RuntimeError, match="certificate"):
+            certify(forged, forged_d, rows, denominators)
+    # a unit row (0, 0, 1) and a zero row: (1, 0, 0) spans the kernel, and (1, 0, 1) fails the unit row
+    kernel_rows, kernel_denominators = [[0, 2, 0], [0, 0, 1], [0, 0, 0]], [1, 1, 1]
+    certify([1, 0, 0], 0, kernel_rows, kernel_denominators)
+    with pytest.raises(RuntimeError, match="certificate"):
+        certify([1, 0, 1], 0, kernel_rows, kernel_denominators)
+
 
 @settings(max_examples=25, deadline=None)
 @given(
