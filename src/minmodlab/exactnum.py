@@ -7,6 +7,8 @@ sequence space, ``Covector`` a functional on it (whose natural norm is the
 l1 coefficient sum).  Coordinate accessors are 1-based, matching the usual
 sequence-space indexing x_1, x_2, ...
 
+``Record`` is the base of the lab's frozen result types, built with no code generated.
+
 Serialization: rationals travel as the exact string ``p/q`` (``q`` omitted
 when it is 1), vectors and covectors as ordered lists of such strings.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -85,27 +87,71 @@ def parse_rational(text: str) -> Rational:
         ) from None
 
 
-class _Entries:
-    """A nonempty tuple of exact rationals in the field ``_field``, read 1-based.
+class Record:
+    """Frozen record over the public annotations of its own class body.
 
-    Subclasses are frozen dataclasses over that one field; their generated
-    equality compares classes first, so a Vector never equals a Covector.
+    It acts as ``@dataclass(frozen=True)`` on a class with no defaults, but
+    generates no code at import; ``__post_init__`` runs where the class has one.
     """
 
-    _field: str  # "coords" or "coeffs"
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(f for f in cls.__dict__.get("__annotations__", ()) if not f.startswith("_"))
+        cls._names = frozenset(cls._fields)
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if not kwargs and len(args) == len(fields):
+            self.__dict__.update(zip(fields, args))
+        else:  # the count and the names catch a field missing, unknown or given twice
+            values = dict(zip(fields, args), **kwargs) if args else kwargs
+            if len(args) + len(kwargs) != len(fields) or values.keys() != self._names:
+                raise TypeError(f"{type(self).__qualname__}() takes each of the fields {fields} once")
+            self.__dict__.update(values)
+        if self._post_init:
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Entries(Record):
+    """A nonempty tuple of exact rationals in the record's one field, read 1-based.
+
+    Subclasses are ``Record``s over that one field, whose equality compares
+    classes first, so a Vector never equals a Covector.
+    """
+
     _noun: str  # "coordinate" or "coefficient"
 
     def __init__(self, values: Iterable[RationalInput]) -> None:
         entries = tuple(as_rational(v) for v in values)
         if not entries:
-            raise ValueError(f"a {type(self).__name__.lower()} needs at least one coordinate")
-        object.__setattr__(self, self._field, entries)
+            raise ValueError(f"a {type(self).__name__.lower()} needs at least one {self._noun}")
+        object.__setattr__(self, self._fields[0], entries)
 
     def __len__(self) -> int:
-        return len(getattr(self, self._field))
+        return len(getattr(self, self._fields[0]))
 
     def __iter__(self) -> Iterator[Rational]:
-        return iter(getattr(self, self._field))
+        return iter(getattr(self, self._fields[0]))
 
     def _index(self, j: int, n: int) -> int:
         if not 1 <= j <= n:
@@ -113,24 +159,22 @@ class _Entries:
         return j - 1
 
     def _entry(self, j: int) -> Rational:
-        entries = getattr(self, self._field)
+        entries = getattr(self, self._fields[0])
         return entries[self._index(j, len(entries))]
 
     def _replace(self, j: int, value: RationalInput):
-        entries = list(getattr(self, self._field))
+        entries = list(getattr(self, self._fields[0]))
         entries[self._index(j, len(entries))] = as_rational(value)
         return type(self)(entries)
 
     def serialize(self) -> list[str]:
-        return [format_rational(c) for c in getattr(self, self._field)]
+        return [format_rational(c) for c in getattr(self, self._fields[0])]
 
 
-@dataclass(frozen=True, init=False)
 class Vector(_Entries):
     """Immutable point of an N-section, N = len(coords)."""
 
     coords: tuple[Rational, ...]
-    _field = "coords"
     _noun = "coordinate"
 
     coord = _Entries._entry  # 1-based coordinate x_j
@@ -158,12 +202,10 @@ class Vector(_Entries):
         return Vector(tuple(c * a for a in self.coords))
 
 
-@dataclass(frozen=True, init=False)
 class Covector(_Entries):
     """Immutable functional on an N-section; acts by the exact dot product."""
 
     coeffs: tuple[Rational, ...]
-    _field = "coeffs"
     _noun = "coefficient"
 
     coeff = _Entries._entry  # 1-based coefficient g_j

@@ -23,7 +23,6 @@ import enum
 import io
 import json
 import random
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -36,6 +35,7 @@ from .exactnum import (
     Covector,
     Rational,
     RationalInput,
+    Record,
     Vector,
     as_rational,
     format_rational,
@@ -62,8 +62,7 @@ class InvariantViolation(AssertionError):
 # convergence of the truncation law
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     n: int
     value: Rational
     closed_form: Rational
@@ -72,8 +71,7 @@ class ConvergenceRow:
     gap: Rational
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     rows: tuple[ConvergenceRow, ...]
     n_min: int
     n_max: int
@@ -161,16 +159,14 @@ class WeakNullStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CoordinateStat:
+class CoordinateStat(Record):
     coordinate: int
     min_modulus: Rational
     max_modulus: Rational
     last_modulus: Rational
 
 
-@dataclass(frozen=True)
-class WeakNullVerdict:
+class WeakNullVerdict(Record):
     status: WeakNullStatus
     coordinate: Optional[int]  # certificate coordinate for not-weakly-null
     bound: Optional[Rational]  # beta with |x_n(coordinate)| >= beta > 0
@@ -266,8 +262,7 @@ def weak_null_test(
 # rank-one perturbation search
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """Best rank-one perturbation found, with its independently recomputed score."""
 
     perturbation: RankOne
@@ -470,8 +465,7 @@ def rank_one_search(
 Cell = Union[Rational, int, str]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """Uniform emission surface: a kind, header pairs, columns, rows."""
 
     kind: str

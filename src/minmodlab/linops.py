@@ -14,11 +14,10 @@ of broadcasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .exactnum import Covector, Rational, RationalInput, Vector, as_rational
+from .exactnum import Covector, Rational, RationalInput, Record, Vector, as_rational
 
 Row = tuple[Rational, ...]
 Matrix = tuple[Row, ...]
@@ -27,8 +26,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Dense:
+class Dense(Record):
     """Explicit square matrix, stored row-major."""
 
     entries: Matrix
@@ -55,8 +53,7 @@ class Dense:
         )
 
 
-@dataclass(frozen=True)
-class RankOne:
+class RankOne(Record):
     """The factors of x -> functional(x) * direction."""
 
     direction: Vector

@@ -16,24 +16,21 @@ contract: the same program yields the same result object, witness included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exactnum import Rational
+from .exactnum import Rational, Record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     coeffs: tuple[Rational, ...]
     rhs: Rational
     corner_slack: Rational  # rhs - coeffs . lower >= 0, the row's slack at the start corner
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """Minimize objective . x subject to coeffs . x <= rhs rows and lower <= x <= upper.
 
     Every bound is finite and the corner x = lower satisfies every row.
@@ -73,8 +70,7 @@ def linear_program(
     return LinearProgram(tuple(objective), tuple(rows), lower, tuple(up for _, up in bounds))
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     value: Rational
     point: tuple[Rational, ...]
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, inf, lcm
 
-from .exactnum import Rational, RationalInput, Vector, as_rational
+from .exactnum import Rational, RationalInput, Record, Vector, as_rational
 from .linops import Operator, materialize, op_norm_sup
 from .lpsolve import linear_program, solve
 
@@ -62,8 +62,7 @@ class BudgetExceededError(RuntimeError):
     """A configured budget (oracle box evaluations, dimension) ran out or would be exceeded."""
 
 
-@dataclass(frozen=True)
-class MinModResult:
+class MinModResult(Record):
     """Exact minimum modulus with an attaining sphere point.
 
     ``facet`` is the (1-based coordinate, sign) pair of the facet the
@@ -321,7 +320,7 @@ def facet_minima(T: Operator, *, check_mirror: bool = False) -> tuple[Rational, 
     return tuple(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a Record: bench/test_bench.py calls dataclasses.replace on it
 class OracleResult:
     """Certified bracket lower <= m(T) <= upper.
 

@@ -1,15 +1,20 @@
-"""Exact scalar/vector/covector layer."""
+"""Exact scalar/vector/covector layer, and the Record base of the lab's result types."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minmodlab
 from minmodlab.exactnum import (
     Covector,
+    Record,
     Vector,
     as_rational,
     basis_vector,
@@ -18,6 +23,7 @@ from minmodlab.exactnum import (
     parse_rational,
     sup_norm,
 )
+from minmodlab.linops import Dense, RankOne
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=32)
 
@@ -111,10 +117,10 @@ def test_basis_and_embed():
 
 
 def test_empty_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a vector needs at least one coordinate$"):
         Vector(())
-    with pytest.raises(ValueError):
-        Covector(())
+    with pytest.raises(ValueError, match="^a covector needs at least one coefficient$"):
+        Covector([])
 
 
 @settings(max_examples=60)
@@ -140,3 +146,98 @@ def test_pairing_bounded_by_norm_product(pair):
     g = Covector(tuple(gs))
     x = Vector(tuple(xs))
     assert abs(g(x)) <= dual_norm_l1(g) * sup_norm(x)
+
+
+# ---------------------------------------------------------------------------
+# Record against the frozen dataclass it replaces
+
+
+def _package_modules() -> list:
+    """Every module of minmodlab but ``__main__``, which runs the CLI on import."""
+    return [importlib.import_module(f"minmodlab.{info.name}")
+            for info in pkgutil.iter_modules(minmodlab.__path__) if info.name != "__main__"]
+
+
+def _record_classes() -> list:
+    _package_modules()  # so that every Record subclass is defined
+    found, stack = [], [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            found.append(sub)
+    return [cls for cls in found if cls._fields]
+
+
+def _field_values(cls) -> tuple:
+    """Two unequal tuples of field values that ``cls`` keeps as given."""
+    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+    special = {
+        Vector: [((one, two),), ((one, one),)],
+        Covector: [((one, two),), ((two, two),)],
+        Dense: [(((one, zero), (zero, one)),), (((one, two), (zero, one)),)],
+        RankOne: [(Vector((1, 2)), Covector((1, 0))), (Vector((1, 2)), Covector((0, 1)))],
+    }
+    n = len(cls._fields)
+    return special.get(cls, [tuple(range(n)), tuple(range(1, n + 1))])
+
+
+def test_every_record_matches_its_frozen_dataclass_twin():
+    classes = _record_classes()
+    assert {cls.__name__ for cls in classes} == {
+        "Vector", "Covector", "Dense", "RankOne", "Constraint", "LinearProgram", "LPResult",
+        "MinModResult", "ConvergenceRow", "ConvergenceReport", "CoordinateStat", "WeakNullVerdict",
+        "SearchOutcome", "Report"}
+    for cls in classes:
+        twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+        first, second = _field_values(cls)
+        a, a2, b = cls(*first), cls(*first), cls(*second)
+        ta, ta2, tb = twin(*first), twin(*first), twin(*second)
+        assert repr(a) == repr(ta) and repr(b) == repr(tb)
+        assert (a == a2, a != a2, a == b, a != b) == (ta == ta2, ta != ta2, ta == tb, ta != tb) \
+            == (True, False, False, True)
+        assert hash(a) == hash(a2) == hash(ta) and hash(b) == hash(tb)
+        assert (a == ta) is False and a.__eq__(object()) is NotImplemented
+        for obj in (a, ta):
+            with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field"):
+                setattr(obj, cls._fields[0], first[0])
+            with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field"):
+                delattr(obj, cls._fields[0])
+        if cls.__init__ is not Record.__init__:  # Vector and Covector take one iterable
+            continue
+        keywords = dict(zip(cls._fields, first))
+        assert cls(**keywords) == cls(first[0], **dict(list(keywords.items())[1:])) == a
+        wrong = [(first[:-1], {}), (first + (0,), {}), (first, {"bogus": 0}), (first[:-1], {"bogus": 0}),
+                 (first, {cls._fields[0]: first[0]}), ((), {}), ((), {**keywords, "bogus": 0}),
+                 ((), dict(list(keywords.items())[1:]))]
+        if len(first) > 1:  # the right count, with the first field twice and the last missing
+            wrong.append((first[:-1], {cls._fields[0]: first[0]}))
+        for make in (cls, twin):
+            for args, kwargs in wrong:
+                with pytest.raises(TypeError):
+                    make(*args, **kwargs)
+
+
+def test_records_of_different_classes_never_compare_equal():
+    assert Vector((1, 2)) != Covector((1, 2))
+    assert not Vector((1, 2)) == Covector((1, 2))
+
+
+def test_post_init_checks_run_for_keyword_construction():
+    for make in (lambda e: Dense(e), lambda e: Dense(entries=e)):
+        assert make(((1, "1/2"), (0, 3))).entries == ((1, Fraction(1, 2)), (0, 3))
+        assert all(isinstance(x, Fraction) for row in make(((1, 2), (3, 4))).entries for x in row)
+        with pytest.raises(ValueError, match="must be square"):
+            make(((1, 2),))
+    for make in (lambda u, g: RankOne(u, g), lambda u, g: RankOne(direction=u, functional=g),
+                 lambda u, g: RankOne(u, functional=g)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            make(Vector((1, 2)), Covector((1,)))
+
+
+def test_only_oracle_result_is_a_dataclass():
+    # A frozen dataclass generates its methods with exec on every import.  Every
+    # record is a Record instead, except OracleResult: bench/test_bench.py builds a
+    # shifted copy of one with dataclasses.replace.
+    found = {obj.__qualname__ for module in _package_modules() for obj in vars(module).values()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert found == {"OracleResult"}
