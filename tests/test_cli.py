@@ -218,6 +218,11 @@ _FROZEN_STDOUT = {
     ("oracle", "paper-t", "5", "1/200"): (  # evaluations=2703
         "a0732bdfeda7a75041b9daaa7e534a5a90aff66e0de89470907a8aa636678f07"
     ),
+    # paper-k, the one spec that names a rank-one K, expanded to its matrix
+    ("minmod", "paper-k", "4"): "f9fc999a2793a8c847ffc6d6665d5f002f9e5d627d287fb4a2997804507c338a",
+    ("oracle", "paper-k", "4", "1/64"): (
+        "cde88fa3a3568dff8b89acb7b0efdb359e1b5531fb1201bf8aa8304a549f1786"
+    ),
     ("paper-check",): "34857da19598b9a48ba6d4bb1d0c98f641f7a2db86c5a4f8584ee9d9222e93ca",
     ("perturb", "6"): "b022312f29e28227ae73afa88786da277adda120740053145f5a2d3f29643f91",
     # a search that goes through a step-underflow restart
