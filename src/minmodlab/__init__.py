@@ -21,7 +21,6 @@ from .exactnum import (
 )
 from .linops import (
     Dense,
-    Operator,
     RankOne,
     add,
     diagonal,

@@ -10,11 +10,13 @@ Exit codes are a stable contract:
     3  budget exceeded (oracle or study ran out of its configured budget)
     4  I/O error (unreadable matrix file, unwritable output)
 
-Operator specs: ``paper-t``, ``paper-k``, ``identity``,
+An operator spec is ``paper-t``, ``paper-k``, ``identity``,
 ``diagonal:a,b,...``, ``direct-sum``, or a path to a dense matrix file
-(first line N, then N rows of N exact rationals).  Identical invocations
-produce byte-identical reports; ``--timestamp`` and ``--approx`` opt in to
-a header timestamp and labeled 12-place decimal columns.
+(first line N, then N rows of N exact rationals).  Every spec builds a
+``Dense``, the one type the engines read, so ``paper-k``, the rank-one
+repair K, comes expanded to its matrix.  Identical invocations produce
+byte-identical reports; ``--timestamp`` and ``--approx`` opt in to a
+header timestamp and labeled 12-place decimal columns.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .harness import (
     rank_one_search,
     weak_null_test,
 )
-from .linops import Dense, Operator, RankOne, add, diagonal, identity
+from .linops import Dense, RankOne, add, diagonal, identity, materialize
 from .minmod import ORACLE_POINT_BUDGET, BudgetExceededError, brute_force_min, facet_minima, min_modulus_sup
 
 EXIT_OK = 0
@@ -104,14 +106,14 @@ def read_dense_operator(path: str | Path) -> Dense:
     return Dense(tuple(rows))
 
 
-def build_operator(spec: str, n: int) -> Operator:
+def build_operator(spec: str, n: int) -> Dense:
     """Resolve an operator spec at dimension n; unknown specs are usage errors."""
     if n < 1:
         raise UsageError("dimension must be >= 1")
     if spec == "paper-t":
         return deflation_operator(n)
     if spec == "paper-k":
-        return deflation_repair(n)
+        return materialize(deflation_repair(n))
     if spec == "identity":
         return identity(n)
     if spec == "direct-sum":

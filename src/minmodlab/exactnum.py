@@ -178,28 +178,6 @@ class Vector(_Entries):
     _noun = "coordinate"
 
     coord = _Entries._entry  # 1-based coordinate x_j
-    replace_coord = _Entries._replace
-
-    def embed(self, n: int) -> "Vector":
-        """Zero-pad into the n-section (n >= current length)."""
-        if n < len(self.coords):
-            raise ValueError(f"cannot embed a {len(self.coords)}-vector into {n} coordinates")
-        return Vector(self.coords + (Fraction(0),) * (n - len(self.coords)))
-
-    def __add__(self, other: "Vector") -> "Vector":
-        _check_same_length(self, other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        _check_same_length(self, other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.coords))
-
-    def __rmul__(self, scalar: RationalInput) -> "Vector":
-        c = as_rational(scalar)
-        return Vector(tuple(c * a for a in self.coords))
 
 
 class Covector(_Entries):

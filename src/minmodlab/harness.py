@@ -23,7 +23,6 @@ import enum
 import io
 import json
 import random
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -40,7 +39,7 @@ from .exactnum import (
     as_rational,
     format_rational,
 )
-from .linops import Operator, RankOne, materialize, op_norm_sup
+from .linops import Dense, RankOne, op_norm_sup
 from .minmod import min_modulus_sup  # not called here: bench/test_bench.py reads harness.min_modulus_sup
 
 SCHEMA_VERSION = 1
@@ -311,7 +310,7 @@ def _lowest(V: list, e: int) -> tuple[list, int]:
 
 
 def rank_one_search(
-    T: Operator,
+    T: Dense,
     norm_budget: RationalInput,
     *,
     seed: int,
@@ -348,7 +347,7 @@ def rank_one_search(
         raise ValueError("iterations must be nonnegative")
     n = T.dim
     zero = ([1] + [0] * (n - 1), 1, [0] * n, 1)  # the state (U, e_u, G, e_g) of K = 0
-    inverse, d, base = minmod._certified_inverse(materialize(T).entries)
+    inverse, d, base = minmod._certified_inverse(T.entries)
     base_value = Fraction(*minmod._read_inverse(inverse, d, base)[:2])
 
     if budget == 0 or iterations == 0:
@@ -478,11 +477,12 @@ class Report(Record):
 
 
 def _approx12(value: Rational) -> str:
-    # 12 decimal places, banker's rounding; used only for labeled extras
-    with localcontext() as ctx:
-        ctx.prec = 60
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(d.quantize(Decimal("1.000000000000")))
+    """Fixed point with 12 places at any magnitude, rounded half to even on the exact value.
+
+    Used only for labeled extras.  A negative value that rounds to zero keeps its sign.
+    """
+    digits = format_rational(abs(round(value * 10**12))).rjust(13, "0")  # no digit cap, as for exact cells
+    return f"{'-' if value < 0 else ''}{digits[:-12]}.{digits[-12:]}"
 
 
 def _render_cell(cell: Cell) -> Union[str, int]:

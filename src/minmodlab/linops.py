@@ -1,11 +1,11 @@
 """Square operators on N-sections.
 
-``Dense`` is the lab's one operator type: both engines read rows of a
-matrix, so the builders (``identity``, ``diagonal``, ``add``) return a
+``Dense`` is the lab's one operator type: every engine reads the rows of
+its matrix, so the builders (``identity``, ``diagonal``, ``add``) return a
 ``Dense`` eagerly.  ``RankOne`` only records the two factors of u (x) g,
-the form in which perturbations are searched and reported; the builders
-and ``materialize`` take its outer product, and ``op_norm_sup`` reads its
-factors alone.
+the form in which perturbations are searched and reported: ``add`` puts
+u_i g on row i of a ``Dense``, ``materialize`` expands u (x) g alone, and
+``op_norm_sup`` reads its factors.
 The sup-operator norm is the maximal row l1 sum of the matrix.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
@@ -15,7 +15,7 @@ of broadcasting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .exactnum import Covector, Rational, RationalInput, Record, Vector, as_rational
 
@@ -70,13 +70,6 @@ class RankOne(Record):
     def dim(self) -> int:
         return len(self.direction)
 
-    def rows(self) -> Matrix:
-        g = self.functional.coeffs
-        return tuple(tuple(u * gj for gj in g) if u else (_ZERO,) * len(g) for u in self.direction.coords)
-
-
-Operator = Union[Dense, RankOne]
-
 
 def diagonal(values: Iterable[RationalInput]) -> Dense:
     """Coordinatewise multiplication by a fixed vector."""
@@ -89,25 +82,24 @@ def identity(n: int) -> Dense:
     return diagonal((_ONE,) * n)
 
 
-def add(*operators: Operator) -> Dense:
-    """Entrywise sum; dimensions must agree."""
-    dims = {op.dim for op in operators}
-    if len(dims) != 1:
-        raise ValueError(f"dimension mismatch in sum: {sorted(dims)}")
+def add(T: Dense, K: RankOne) -> Dense:
+    """T + u (x) g: row i of T plus u_i g, and unchanged where u_i = 0; dimensions must agree."""
+    if T.dim != K.dim:
+        raise ValueError(f"dimension mismatch in sum: {T.dim} and {K.dim}")
+    g = K.functional.coeffs
     return Dense(tuple(
-        tuple(sum((e for e in column if e), _ZERO) for column in zip(*rows))
-        for rows in zip(*(materialize(op).entries for op in operators))
+        tuple(a + u * c for a, c in zip(row, g)) if u else row for row, u in zip(T.entries, K.direction.coords)
     ))
 
 
-def materialize(operator: Operator) -> Dense:
-    """The dense matrix; a ``Dense`` passes through, a ``RankOne`` is expanded."""
-    if isinstance(operator, Dense):
-        return operator
-    return Dense(operator.rows())
+def materialize(K: RankOne) -> Dense:
+    """The matrix of u (x) g: row i is u_i g, and zero where u_i = 0."""
+    g = K.functional.coeffs
+    zeros = (_ZERO,) * len(g)
+    return Dense(tuple(tuple(u * c for c in g) if u else zeros for u in K.direction.coords))
 
 
-def op_norm_sup(operator: Operator) -> Rational:
+def op_norm_sup(operator: Dense | RankOne) -> Rational:
     """Exact operator norm for the sup norm: max row l1 sum.
 
     The sign vector of a maximal row (zero entries +1) attains it.  Row i of
@@ -115,4 +107,4 @@ def op_norm_sup(operator: Operator) -> Rational:
     """
     if isinstance(operator, RankOne):
         return max(map(abs, operator.direction.coords)) * sum(map(abs, operator.functional.coeffs), _ZERO)
-    return max(sum((abs(e) for e in row if e), _ZERO) for row in materialize(operator).entries)
+    return max(sum((abs(e) for e in row if e), _ZERO) for row in operator.entries)

@@ -29,7 +29,8 @@ bounds each box through exact interval arithmetic on the rows of T and
 refines until boxes are thinner than the requested resolution h,
 returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
 point and upper - lower <= lipschitz * h/2.  The arithmetic is on
-integers: A = D T for the least common denominator D of T's entries (one
+integers: A = D T, from the same ``_integer_rows`` as the inverse, with each
+row rescaled to D, the least common multiple of the row denominators (one
 D for all rows, because the bound is a maximum across rows), and
 lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
 centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
@@ -49,7 +50,7 @@ from itertools import compress, repeat
 from math import gcd, inf, lcm
 
 from .exactnum import Rational, RationalInput, Record, Vector, as_rational
-from .linops import Operator, materialize, op_norm_sup
+from .linops import Dense, op_norm_sup
 from .lpsolve import linear_program, solve
 
 _ZERO = Fraction(0)
@@ -72,12 +73,6 @@ class MinModResult(Record):
     value: Rational
     witness: Vector
     facet: tuple[int, int]
-
-
-def _integer_matrix(entries) -> tuple[list[list[int]], int]:
-    """(A, D): the least common denominator D of the entries and the integer rows A = D T."""
-    denominator = lcm(*(e.denominator for row in entries for e in row))
-    return [[e.numerator * (denominator // e.denominator) for e in row] for row in entries], denominator
 
 
 def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
@@ -231,7 +226,7 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None =
     return [[den * m - ai * bj for m, bj in zip(row, b)] for row, ai in zip(inverse, a)], d * den
 
 
-def min_modulus_sup(T: Operator) -> MinModResult:
+def min_modulus_sup(T: Dense) -> MinModResult:
     """Exact m(T) = min over the unit sphere of sup_norm(T x).
 
     For invertible T, with S = T^-1 and y the sign vector (zeros +1) of the
@@ -241,7 +236,7 @@ def min_modulus_sup(T: Operator) -> MinModResult:
     first entry of largest modulus +1.  The certified inverse proves
     m(T) >= value, and the re-verified witness m(T) <= value.
     """
-    value, norm, z = _read_inverse(*_certified_inverse(materialize(T).entries))
+    value, norm, z = _read_inverse(*_certified_inverse(T.entries))
     return MinModResult(Fraction(value, norm), Vector(Fraction(c, norm) for c in z), (z.index(norm) + 1, 1))
 
 
@@ -297,18 +292,17 @@ def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> Rational:
     return solve(linear_program(objective, constraints, bounds)).value
 
 
-def facet_minima(T: Operator, *, check_mirror: bool = False) -> tuple[Rational, ...]:
+def facet_minima(T: Dense, *, check_mirror: bool = False) -> tuple[Rational, ...]:
     """Each facet's exact minimum (sign +1 representative), by one LP per facet.
 
     The least entry is m(T).  ``check_mirror`` also solves every sign -1
     facet and verifies it agrees, which is the oddness symmetry the
     reduction to N programs relies on.
     """
-    dense = materialize(T)
-    entries = dense.entries
-    norm = op_norm_sup(dense)
+    entries = T.entries
+    norm = op_norm_sup(T)
     values = []
-    for k in range(1, dense.dim + 1):
+    for k in range(1, T.dim + 1):
         value = _facet_minimum(entries, k, 1, norm)
         if check_mirror:
             mirror_value = _facet_minimum(entries, k, -1, norm)
@@ -340,7 +334,7 @@ class OracleResult:
 
 
 def brute_force_min(
-    T: Operator, h: RationalInput, *, point_budget: int = ORACLE_POINT_BUDGET
+    T: Dense, h: RationalInput, *, point_budget: int = ORACLE_POINT_BUDGET
 ) -> OracleResult:
     """Certified sampling bracket for m(T), independent of the inverse and the facet LPs.
 
@@ -379,9 +373,10 @@ def brute_force_min(
         raise ValueError("resolution h must be positive")
     if point_budget < 1:
         raise ValueError("point budget must be at least 1")
-    dense = materialize(T)
-    n = dense.dim
-    rows, denominator = _integer_matrix(dense.entries)
+    n = T.dim
+    rows, denominators = _integer_rows(T.entries)
+    denominator = lcm(*denominators)  # one D for all rows, since the bound is a maximum across rows
+    rows = [[a * (denominator // D) for a in row] for row, D in zip(rows, denominators)]
     columns = list(zip(*rows))
     abs_columns = [[abs(a) for a in column] for column in columns]
     abs_rows = list(zip(*abs_columns))

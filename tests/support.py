@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from minmodlab.exactnum import Covector, RationalInput, Vector, as_rational, sup_norm
-from minmodlab.linops import Dense, Operator, RankOne, add, diagonal, identity, materialize
+from minmodlab.linops import Dense, RankOne, add, diagonal, identity, materialize
 from minmodlab.lpsolve import LinearProgram, linear_program, solve
 from minmodlab.minmod import MinModResult
 
@@ -31,14 +31,20 @@ def random_sphere_point(rng: random.Random, n: int, denominator: int = 64) -> Ve
     return Vector(tuple(coords))
 
 
-def scale(factor: RationalInput, operator: Operator) -> Dense:
+def scale(factor: RationalInput, operator: Dense) -> Dense:
     """The operator times an exact scalar."""
     c = as_rational(factor)
-    return Dense(tuple(tuple(c * e for e in row) for row in materialize(operator).entries))
+    return Dense(tuple(tuple(c * e for e in row) for row in operator.entries))
 
 
-def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Operator:
-    """Random operator from every builder, or a bare rank-one record."""
+def random_rank_one(rng: random.Random, n: int) -> RankOne:
+    u = Vector(tuple(small_fraction(rng, 4) for _ in range(n)))
+    g = Covector(tuple(small_fraction(rng, 4) for _ in range(n)))
+    return RankOne(u, g)
+
+
+def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Dense:
+    """Random operator from every builder, or an expanded rank-one record."""
     kinds = ["dense", "diagonal", "rankone", "identity"]
     if depth > 0:
         kinds += ["sum", "scaled"]
@@ -48,16 +54,11 @@ def random_structured_operator(rng: random.Random, n: int, depth: int = 2) -> Op
     if kind == "diagonal":
         return diagonal(small_fraction(rng, 4) for _ in range(n))
     if kind == "rankone":
-        u = Vector(tuple(small_fraction(rng, 4) for _ in range(n)))
-        g = Covector(tuple(small_fraction(rng, 4) for _ in range(n)))
-        return RankOne(u, g)
+        return materialize(random_rank_one(rng, n))
     if kind == "identity":
         return identity(n)
     if kind == "sum":
-        return add(
-            random_structured_operator(rng, n, depth - 1),
-            random_structured_operator(rng, n, depth - 1),
-        )
+        return add(random_structured_operator(rng, n, depth - 1), random_rank_one(rng, n))
     return scale(small_fraction(rng, 3), random_structured_operator(rng, n, depth - 1))
 
 
@@ -79,9 +80,9 @@ def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     return [a[r][n] for r in range(n)]
 
 
-def solve_inverse(op: Operator) -> Optional[Dense]:
+def solve_inverse(op: Dense) -> Optional[Dense]:
     """T^-1 built column by column with ``solve_square``; None when T is singular."""
-    rows = [list(row) for row in materialize(op).entries]
+    rows = [list(row) for row in op.entries]
     n = len(rows)
     columns = [solve_square(rows, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
     if None in columns:
@@ -102,7 +103,7 @@ def forbid_fraction_arithmetic(patch) -> None:
         patch.setattr(Fraction, f"__{name}__", forbidden)
 
 
-def certifies(op: Operator, result: MinModResult) -> bool:
+def certifies(op: Dense, result: MinModResult) -> bool:
     """Check m(T) = result.value without the simplex or the library's elimination.
 
     The witness is a unit sphere point, so sup_norm(T x) bounds m(T) from
@@ -110,10 +111,9 @@ def certifies(op: Operator, result: MinModResult) -> bool:
     ||x|| = ||S T x|| <= ||S|| ||T x|| bounds it from below by 1/||S||, the
     largest row l1 sum of S; a singular T needs T x = 0.
     """
-    dense = materialize(op)
-    if sup_norm(result.witness) != 1 or sup_norm(dense.apply(result.witness)) != result.value:
+    if sup_norm(result.witness) != 1 or sup_norm(op.apply(result.witness)) != result.value:
         return False
-    inverse = solve_inverse(dense)
+    inverse = solve_inverse(op)
     if inverse is None:
         return result.value == 0
     return result.value * max(sum(abs(e) for e in row) for row in inverse.entries) == 1

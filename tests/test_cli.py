@@ -29,7 +29,7 @@ from minmodlab.cli import (
     main,
     read_dense_operator,
 )
-from minmodlab.constructions import deflation_operator
+from minmodlab.constructions import deflation_operator, deflation_repair
 from minmodlab.linops import materialize
 
 
@@ -248,7 +248,7 @@ _T3_MATRIX_FILE = "3\n1 -1/2 -1/4\n0 1 0\n0 0 1\n"  # deflation_operator(3)
 def test_matrix_file_round_trip(tmp_path, capsys):
     path = tmp_path / "t3.mat"
     path.write_text(_T3_MATRIX_FILE, encoding="utf-8")
-    assert read_dense_operator(path).entries == materialize(deflation_operator(3)).entries
+    assert read_dense_operator(path).entries == deflation_operator(3).entries
 
     code, out, _ = run_cli(capsys, "minmod", str(path), "3")
     assert code == EXIT_OK
@@ -287,9 +287,8 @@ def test_missing_matrix_file(capsys):
 
 
 def test_build_operator_direct(tmp_path):
-    assert materialize(build_operator("direct-sum", 4)).entries == (
-        materialize(build_operator("paper-t", 4)).entries
-    )
+    assert build_operator("direct-sum", 4).entries == build_operator("paper-t", 4).entries
+    assert build_operator("paper-k", 3) == materialize(deflation_repair(3))
     assert build_operator("identity", 2).dim == 2
 
 
@@ -491,6 +490,23 @@ def test_approx_columns(capsys):
     assert "0.666666666667" in out
 
 
+_HUGE = "1" + "0" * 50
+
+
+@pytest.mark.parametrize("argv, column, last_cells", [
+    # gap = 1/(2 (2^N - 1)) falls below 10^-6 from N = 19 on
+    (("converge", "2", "22"), "gap", ["0.000000953676", "0.000000476838", "0.000000238419", "0.000000119209"]),
+    (("minmod", "paper-k", "3"), "facet_value", ["0.000000000000", "0.250000000000", "0.000000000000"]),
+    (("minmod", f"diagonal:{_HUGE}", "1"), "facet_value", [_HUGE + ".000000000000"]),
+])
+def test_approx_cells_are_fixed_point_at_any_magnitude(capsys, argv, column, last_cells):
+    code, out, err = run_cli(capsys, *argv, "--approx")
+    assert (code, err) == (EXIT_OK, "")
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    index = lines[0].split(",").index(column + "_approx12")
+    assert [line.split(",")[index] for line in lines[1:]][-len(last_cells):] == last_cells
+
+
 def test_timestamp_is_opt_in(capsys):
     _, plain, _ = run_cli(capsys, "minmod", "paper-t", "2")
     assert "generated_at" not in plain
@@ -521,7 +537,7 @@ _DIMENSIONS = st.sampled_from([-2, -1, 0, 1, 2, 3, 4, 5, 65])
 _TOKENS = st.one_of(
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),  # includes p/0
     st.integers(-9, 9).map(str),
-    st.sampled_from(["", "-", "1.5", "x", "1/-2", "0x1"]),
+    st.sampled_from(["", "-", "1.5", "x", "1/-2", "0x1", str(10**49)]),  # 50 digits, for --approx
 )
 _RESOLUTIONS = st.one_of(
     st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 8)),  # parses to h >= 1/8

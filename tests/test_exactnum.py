@@ -95,14 +95,9 @@ def test_coordinates_are_one_based():
 
 
 def test_vector_arithmetic_and_replace():
-    x = Vector([1, 2])
-    y = Vector([3, -1])
-    assert (x + y).coords == (Fraction(4), Fraction(1))
-    assert (x - y).coords == (Fraction(-2), Fraction(3))
-    assert (-x).coords == (Fraction(-1), Fraction(-2))
-    assert (Fraction(1, 2) * x).coords == (Fraction(1, 2), Fraction(1))
-    assert x.replace_coord(2, "1/7").coord(2) == Fraction(1, 7)
-    assert x.coord(2) == 2  # immutable
+    g = Covector([1, 2])
+    assert g.replace_coeff(2, "1/7").coeff(2) == Fraction(1, 7)
+    assert g.coeff(2) == 2  # immutable
 
 
 def test_basis_and_embed():
@@ -110,10 +105,6 @@ def test_basis_and_embed():
     assert e2.coords == (0, 1, 0, 0)
     with pytest.raises(ValueError):
         basis_vector(5, 4)
-    padded = Vector([1, "1/2"]).embed(4)
-    assert padded.coords == (1, Fraction(1, 2), 0, 0)
-    with pytest.raises(ValueError):
-        padded.embed(3)
 
 
 def test_empty_rejected():
@@ -129,9 +120,9 @@ def test_sup_norm_is_a_norm(coords, c):
     x = Vector(tuple(coords))
     assert sup_norm(x) >= 0
     assert (sup_norm(x) == 0) == all(v == 0 for v in coords)
-    assert sup_norm(c * x) == abs(c) * sup_norm(x)
+    assert sup_norm(Vector(c * v for v in coords)) == abs(c) * sup_norm(x)
     y = Vector(tuple(reversed(coords)))
-    assert sup_norm(x + y) <= sup_norm(x) + sup_norm(y)
+    assert sup_norm(Vector(a + b for a, b in zip(coords, reversed(coords)))) <= sup_norm(x) + sup_norm(y)
 
 
 @settings(max_examples=60)

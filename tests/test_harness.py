@@ -168,7 +168,7 @@ def test_convergence_range_validation():
 
 
 def test_flat_vectors_are_not_weakly_null():
-    family = [minimizing_vector(n).embed(8) for n in range(2, 9)]
+    family = [minimizing_vector(n) for n in range(2, 9)]
     verdict = weak_null_test(family)
     assert verdict.status is WeakNullStatus.NOT_WEAKLY_NULL
     assert verdict.coordinate == 1
@@ -176,9 +176,7 @@ def test_flat_vectors_are_not_weakly_null():
 
 
 def test_minimizers_of_the_deflation_are_not_weakly_null():
-    family = [
-        min_modulus_sup(deflation_operator(n)).witness.embed(7) for n in range(2, 8)
-    ]
+    family = [min_modulus_sup(deflation_operator(n)).witness for n in range(2, 8)]
     verdict = weak_null_test(family)
     assert verdict.status is WeakNullStatus.NOT_WEAKLY_NULL
     assert verdict.coordinate == 1
@@ -325,8 +323,8 @@ def _invertible_dense(rng: random.Random, n: int) -> Dense:
 
 
 def _integer_rank_one(u: Vector, g: Covector) -> tuple:
-    (U,), du = minmod._integer_matrix((u.coords,))
-    (G,), dg = minmod._integer_matrix((g.coeffs,))
+    (U,), (du,) = minmod._integer_rows((u.coords,))
+    (G,), (dg,) = minmod._integer_rows((g.coeffs,))
     return U, G, du * dg
 
 
@@ -345,7 +343,9 @@ def test_rank_one_update_matches_a_fresh_inverse():
             rows, denominators = base  # the certified rows A_i = D_i T_i, D_i the least denominator of row i
             assert denominators == [lcm(*(e.denominator for e in row)) for row in t.entries]
             assert [[Fraction(a, D) for a in row] for row, D in zip(rows, denominators)] == list(map(list, t.entries))
-            u = Vector(small_fraction(rng, 4) for _ in range(n)).replace_coord(rng.randint(1, n), 1)
+            u = [small_fraction(rng, 4) for _ in range(n)]
+            u[rng.randint(1, n) - 1] = 1
+            u = Vector(u)
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))
             rank_one = _integer_rank_one(u, g)
@@ -372,8 +372,8 @@ def test_rank_one_update_matches_a_fresh_inverse():
     rank_one = _integer_rank_one(u, g)
     kernel, d2 = minmod._rank_one_update(inverse, d, rank_one)
     assert d2 == 0
-    (U,), du = minmod._integer_matrix((u.coords,))
-    assert Vector(kernel) == (d * du) * su
+    (U,), (du,) = minmod._integer_rows((u.coords,))
+    assert Vector(kernel) == Vector(d * du * c for c in su)
     assert perturbed.apply(Vector(kernel)) == Vector([0] * 4)
     value, norm, z = minmod._read_inverse(kernel, d2, base, rank_one)
     assert value == 0
@@ -586,6 +586,26 @@ def test_approx_columns_are_labeled_and_extra():
     assert "0.666666666667" in approx
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(), st.integers(-30, 60))
+@example(Fraction(0), 0)
+@example(Fraction(5, 10**13), 0)  # ties go to the even neighbour, 0 and 2 places up
+@example(Fraction(15, 10**13), 0)
+@example(Fraction(-1, 10**15), 0)  # rounds to zero and keeps its sign
+@example(Fraction(-8414479277534129240525924589500005035957254754677, 106), 0)  # 47 integer digits
+def test_approx12_is_fixed_point_rounded_half_to_even(value, exponent):
+    value *= Fraction(10) ** exponent
+    cell = minmodlab.harness._approx12(value)
+    sign, digits = ("-", cell[1:]) if cell.startswith("-") else ("", cell)
+    whole, places = digits.split(".")
+    assert sign == ("-" if value < 0 else "")
+    assert whole.isdigit() and places.isdigit() and len(places) == 12 and (whole == "0" or whole[0] != "0")
+    error = abs(Fraction(int(whole + places), 10**12) - abs(value))
+    assert error <= Fraction(1, 2 * 10**12)
+    if error == Fraction(1, 2 * 10**12):
+        assert int(places[-1]) % 2 == 0
+
+
 def test_json_emission_schema():
     report = convergence_study(2, 3)
     payload = json.loads(emit_report(report, fmt="json"))
@@ -617,7 +637,7 @@ def test_plain_report_passes_through():
 
 
 def test_weak_null_report_header_carries_the_certificate():
-    family = [minimizing_vector(n).embed(5) for n in range(2, 6)]
+    family = [minimizing_vector(n) for n in range(2, 6)]
     text = emit_report(weak_null_test(family))
     assert "# status=not-weakly-null" in text
     assert "# coordinate=1" in text
