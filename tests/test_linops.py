@@ -26,8 +26,6 @@ def test_identity_applies_and_materializes():
     x = Vector([1, "-1/2", "1/4"])
     assert identity(3).apply(x) == x
     assert identity(2).entries == ((1, 0), (0, 1))
-    assert diagonal([2, "1/3"]).entries == ((2, 0), (0, Fraction(1, 3)))
-    assert all(isinstance(op, Dense) for op in (identity(2), diagonal([2, "1/3"]), diagonal([0] * 2)))
 
 
 def test_rank_one_applies_in_terms_of_the_functional():
@@ -35,8 +33,6 @@ def test_rank_one_applies_in_terms_of_the_functional():
     assert materialize(k).entries == ((0, Fraction(1, 2), Fraction(1, 4)), (0, 0, 0), (0, 0, 0))
     assert materialize(k).apply(Vector([0, 1, 0])).coords == (Fraction(1, 2), 0, 0)
     assert materialize(k).apply(basis_vector(1, 3)) == Vector([0] * 3)
-    k = RankOne(Vector([1, "-1/2"]), Covector((Fraction(1, 2), 0)))
-    assert add(identity(2), k).entries == ((Fraction(3, 2), 0), (Fraction(-1, 4), 1))
 
 
 def test_dense_must_be_square():
@@ -124,13 +120,25 @@ def test_rank_one_norm_read_off_the_factors_matches_its_matrix(factors):
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.lists(st.lists(_FACTOR_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n),
     st.lists(_FACTOR_ENTRY, min_size=n, max_size=n), st.lists(_FACTOR_ENTRY, min_size=n, max_size=n))))
-def test_add_is_the_entrywise_sum_with_the_expanded_rank_one(operands):
+def test_sum_and_scaled_materialize_entrywise(operands):
+    # add(T, K) is the entrywise sum of T and u (x) g, and scaling it scales every entry
     rows, u, g = operands
     t, k = Dense(rows), RankOne(Vector(u), Covector(g))
     total = add(t, k)
     assert isinstance(total, Dense)
     assert total.entries == tuple(
         tuple(a + b for a, b in zip(row, expanded)) for row, expanded in zip(t.entries, materialize(k).entries))
+    assert scale(Fraction(-1, 2), total).entries == tuple(
+        tuple(Fraction(-1, 2) * e for e in row) for row in total.entries)
     with pytest.raises(ValueError):
         add(t, RankOne(Vector(u + [1]), Covector(g + [1])))
+
+
+def test_builders_return_dense():
+    k = RankOne(Vector([1, "-1/2"]), Covector((Fraction(1, 2), 0)))
+    built = [identity(2), diagonal([2, "1/3"]), diagonal([0] * 2), materialize(k), add(identity(2), k)]
+    assert all(isinstance(op, Dense) for op in built)
+    assert diagonal([2, "1/3"]).entries == ((2, 0), (0, Fraction(1, 3)))
+    assert add(identity(2), k).entries == ((Fraction(3, 2), 0), (Fraction(-1, 4), 1))
+    assert add(diagonal([0] * 2), k) == materialize(k)
 
