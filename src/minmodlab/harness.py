@@ -100,8 +100,8 @@ def convergence_study(
 
     T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``, read
     as the leading N-section of the one ``deflation_operator`` built, at the
-    largest N studied.  Each section's inverse is bordered from the previous
-    section, certified per section, and read by the integer reader as
+    largest N studied.  Each section's inverse comes off one elimination of
+    that operator, certified per section, and read by the integer reader as
     (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row checks that m(T)
     equals the closed form exactly, and the non-attainment shape of the
     witness, in integers: |x_1| = 1 (|z_1| = R) while every tail modulus
@@ -122,7 +122,7 @@ def convergence_study(
     limit = min(n_max, lp_dimension_budget)
     rows = []
     entries = deflation_operator(limit).entries if limit >= n_min else ()
-    for n, *section in minmod._leading_inverses(entries, n_min):  # deflation_operator(n), bordered
+    for n, *section in minmod._leading_inverses(entries, n_min):  # deflation_operator(n), one elimination
         d, norm, z = minmod._read_inverse(*section)
         value, expected = Fraction(d, norm), closed_form_min_modulus(n)
         if value != expected:

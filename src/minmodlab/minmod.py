@@ -3,17 +3,14 @@
 ``min_modulus_sup`` reads m(T) off the inverse: for invertible T with
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
-a kernel vector as witness.  One fraction-free elimination gives S = M/d
-in integers; A M = d diag(D), summed in C over A's nonzeros, proves the lower
-bound and the re-verified witness the upper one.  The elimination is an
-in-place Gauss-Jordan on N columns: the settled columns of A and the identity
-columns of the right block, which no step reads, are never stored.
+a kernel vector as witness.  One fraction-free elimination, in place on N
+columns, gives S = M/d in integers, and on the way each leading section's
+inverse for ``_leading_inverses``; A M = d diag(D), summed in C over A's
+nonzeros, proves the lower bound and the re-verified witness the upper one.
 ``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
 so the search inverts T once, and reuses MU and GM across proposals that
 share a factor; ``_perturbed_rows`` builds T + U (x) G / e's integer rows
 from T's, for the fresh certified elimination that checks its best score.
-``_leading_inverses`` walks T's leading sections, each inverse bordered
-from the previous section, certified per section.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -75,30 +72,28 @@ class MinModResult(Record):
     facet: tuple[int, int]
 
 
-def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
-    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
+def _eliminate(rows: list, swaps: list):
+    """Yield (a, p) after each column c of Bareiss on [A | I], in place on N columns, recording row swaps.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [A | I], in place on N columns:
-    with p the pivot of column c (its first nonzero at or below the
-    diagonal) and prev the one before, every other row becomes
+    With p the pivot of column c (its first nonzero at or below the diagonal,
+    swapped up) and prev the one before, every other row becomes
     (p a_r - a_rc a_c) / prev, an exact division.  The left block's settled
-    columns are p I, which no later step reads, and the right block's
-    columns past c are still prev I, so column c of the one array holds A's
-    column until step c and the right block's column c after it:
-    -a_rc, with prev in the pivot row.  The left block ends as p I, so
-    A R = p I for the right block R, whose columns come back in order once
-    the row swaps are undone as column swaps in reverse, and
-    T^-1 = R diag(D) / p.  With no pivot in column c, the columns before it
-    are prev e_r, so (-a_rc for r < c, prev, 0, ...) is in the kernel.
+    columns are p I, which no later step reads, and the right block's columns
+    past c are still prev I, so column c of the one array holds A's column
+    until step c and the right block's column c after it: -a_rc, with prev in
+    the pivot row.  With no swap, rows 0..c meet only pivot rows 0..c, so
+    their first c + 1 entries are p A_{c+1}^-1 with p = det A_{c+1}.  With no
+    pivot in column c, the columns before it are prev e_r, so the last yield
+    is the kernel vector (-a_rc for r < c, prev, 0, ...) with p = 0.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    swaps = []
     prev = 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if a[r][c]), None)
         if pivot is None:
-            return [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
+            yield [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
+            return
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             swaps.append((c, pivot))
@@ -110,12 +105,25 @@ def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
                 a[r][c] = -f
         a[c][c] = prev
         prev = p
+        yield a, p
+
+
+def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
+    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
+
+    ``_eliminate`` leaves A R = p I for the right block R, whose columns come back in
+    order once the row swaps are undone as column swaps in reverse; T^-1 = R diag(D) / p.
+    """
+    swaps = []
+    *_, (a, p) = _eliminate(rows, swaps)
+    if not p:
+        return a, 0
     for c, pivot in reversed(swaps):  # R = R' P for the right block R' of the swapped rows P A
         for row in a:
             row[c], row[pivot] = row[pivot], row[c]
-    sign = 1 if prev > 0 else -1
+    sign = 1 if p > 0 else -1
     scale = [sign * D for D in denominators]  # M = R diag(D) sign(p), one C loop per row
-    return [list(map(operator.mul, row, scale)) for row in a], sign * prev
+    return [list(map(operator.mul, row, scale)) for row in a], sign * p
 
 
 def _integer_rows(entries) -> tuple[list, list]:
@@ -172,30 +180,21 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
 def _leading_inverses(entries, n_min: int):
     """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for T's leading n-sections from n_min up.
 
-    T's integer rows are built once, so each A_n is the leading block of one
-    A, bordered from the last by Sylvester's identity in integers: with b, c
-    and delta the new column, row and corner, u = adj b, v = c adj and
-    sigma = delta det - c u = det A_{n+1}, the new adjugate is
-    (sigma adj + u v) / det, an exact division, bordered by -u, -v and det.
+    One ``_eliminate`` of T's integer rows A serves every section: after column n, with no swap,
+    its leading n x n block is p A_n^-1 with p = det A_n, so M is that block times diag(D_n) sign(p).
     That needs nonzero leading minors, as a unit upper triangular T has.
     """
     rows, denominators = _integer_rows(entries)
-    adj, det = [], 1
-    for n, row in enumerate(rows):
-        b, c = [r[n] for r in rows[:n]], row[:n]
-        u = [sum(map(operator.mul, a, b)) for a in adj]
-        v = [sum(map(operator.mul, c, column)) for column in zip(*adj)]
-        sigma = row[n] * det - sum(map(operator.mul, c, u))
-        if not sigma:
-            raise RuntimeError(f"internal: the leading {n + 1}-section is singular and cannot be bordered")
-        adj = [[(sigma * x + ui * vj) // det for x, vj in zip(a, v)] + [-ui] for a, ui in zip(adj, u)]
-        adj, det = adj + [[*map(operator.neg, v), det]], sigma
-        if n + 1 >= n_min:  # M = adj diag(D_n) sign(det), certified before it is yielded
-            base = [r[:n + 1] for r in rows[:n + 1]], denominators[:n + 1]
-            scale = [D if det > 0 else -D for D in base[1]]
-            inverse = [list(map(operator.mul, a, scale)) for a in adj]
-            _certify(inverse, abs(det), *base)
-            yield n + 1, inverse, abs(det), base
+    swaps = []
+    for n, (a, p) in enumerate(_eliminate(rows, swaps), 1):
+        if swaps or not p:
+            raise RuntimeError(f"internal: the leading {n}-section is singular")
+        if n >= n_min:  # certified before it is yielded
+            base = [r[:n] for r in rows[:n]], denominators[:n]
+            scale = [D if p > 0 else -D for D in base[1]]
+            inverse = [list(map(operator.mul, row[:n], scale)) for row in a[:n]]
+            _certify(inverse, abs(p), *base)
+            yield n, inverse, abs(p), base
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None = None) -> tuple[list, int]:

@@ -102,14 +102,16 @@ def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch
     ladders = _counted(monkeypatch, minmod, "_leading_inverses")
     certificates = _counted(monkeypatch, minmod, "_certify")
     eliminations = _counted(monkeypatch, minmod, "_fraction_free_inverse")
+    kernels = _counted(monkeypatch, minmod, "_eliminate")
     readings = _counted(monkeypatch, minmod, "_read_inverse")
     sweeps = _counted(monkeypatch, minmodlab.harness, "min_modulus_sup")
     report = convergence_study(2, 12)
     assert [r.n for r in report.rows] == list(range(2, 13))
     assert builds == [(12,)]
     assert [(len(entries), n_min) for entries, n_min in ladders] == [(12, 2)]
-    # each section bordered from the last, with no elimination, then certified and its witness
-    # re-verified on its own N
+    # one elimination of T's integer rows for the whole ladder, and no full inverse or sweep; each
+    # section read off it is certified and its witness re-verified on its own N
+    assert [len(rows) for rows, _ in kernels] == [12]
     assert [len(rows) for _, _, rows, _ in certificates] == list(range(2, 13))
     assert [len(inverse) for inverse, *_ in readings] == list(range(2, 13))
     assert eliminations == sweeps == []
@@ -122,8 +124,8 @@ def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch
 
 
 def test_convergence_report_is_frozen_past_the_default_cap():
-    # the bordered inverses' integers are largest at the far end of the ladder; this digest was taken
-    # with a fresh elimination per section
+    # the sections' integers are largest at the far end of the ladder, read off one elimination; this
+    # digest was taken with a fresh elimination per section
     report = convergence_study(2, 96, lp_dimension_budget=96)
     assert hashlib.sha256(emit_report(report).encode("utf-8")).hexdigest() == (
         "46f7cf1bcde5939a81c7c48a645e01e5df90c93a6833dae072357e05182a2452"

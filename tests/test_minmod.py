@@ -347,6 +347,12 @@ def test_bordering_refuses_a_zero_leading_minor():
     assert next(sections)[:3] == (1, [[1]], 1)
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
+    # invertible (det -1), but its 2-section is singular with a nonzero below it, so the elimination swaps
+    mid_swap = [[Fraction(x) for x in row] for row in [[1, 1, 0], [1, 1, 1], [0, 1, 0]]]
+    sections = minmodlab.minmod._leading_inverses(mid_swap, 1)
+    assert next(sections)[:3] == (1, [[1]], 1)
+    with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
+        next(sections)
 
 
 def test_certify_rejects_forged_inverses():
