@@ -72,7 +72,7 @@ def minimizing_vector(n: int) -> Vector:
 
 
 def closed_form_min_modulus(n: int) -> Rational:
-    """Exact m(T) on the n-section: 1 / (2 - 2^(1-n)).
+    """Exact m(T) on the n-section: 1 / (2 - 2^(1-n)) = 2^(n-1) / (2^n - 1), already in lowest terms.
 
     Derivation: on the facet x_1 = 1 the optimum balances the deflated
     first row against a constant tail t, so 1 - t * dual_norm(f) = t with
@@ -80,7 +80,7 @@ def closed_form_min_modulus(n: int) -> Rational:
     """
     if n < 1:
         raise ValueError("sections have dimension >= 1")
-    return _ONE / (2 - Fraction(1, 2 ** (n - 1)))
+    return Fraction(2 ** (n - 1), 2**n - 1)
 
 
 def direct_sum_operator(f_y: Covector) -> Dense:

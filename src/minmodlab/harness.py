@@ -45,7 +45,6 @@ from .minmod import min_modulus_sup  # not called here: bench/test_bench.py read
 SCHEMA_VERSION = 1
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 _SEARCH_INITIAL_SHIFT = 1  # the search step is 2^-shift: 1/2 at the start
 _SEARCH_MAX_SHIFT = 6  # and a restart below 1/64
 
@@ -140,7 +139,7 @@ def convergence_study(
                 closed_form=expected,
                 witness_min_tail=Fraction(tail_min, norm),
                 witness_max_tail=Fraction(tail_max, norm),
-                gap=value - _HALF,
+                gap=Fraction(2 * d - norm, 2 * norm),  # value - 1/2 in one step
             )
         )
     return ConvergenceReport(

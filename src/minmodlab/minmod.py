@@ -6,7 +6,8 @@ the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One fraction-free elimination, in place on N
 columns, gives S = M/d in integers, and on the way each leading section's
 inverse for ``_leading_inverses``; A M = d diag(D), summed in C over A's
-nonzeros, proves the lower bound and the re-verified witness the upper one.
+nonzeros and, on a row with one nonzero, checked by one product and a count
+of zeros, proves the lower bound and the re-verified witness the upper one.
 ``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
 so the search inverts T once, and reuses MU and GM across proposals that
 share a factor; ``_perturbed_rows`` builds T + U (x) G / e's integer rows
@@ -149,19 +150,27 @@ def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
     """Prove A M = d diag(D) for T = A/D, or A a = 0 with a != 0 when d = 0, or raise.
 
     The check runs outside the engine that found M, so a wrong one cannot
-    vouch for itself; row i of A M is sum_k A_ik M_k over A_i's nonzeros (c M_k
-    for a single nonzero c), and must be zero once d D_i comes off entry i.
+    vouch for itself; row i of A M is sum_k A_ik M_k over A_i's nonzeros, and
+    must be zero once d D_i comes off entry i.  A unit row c e_k with d != 0
+    asks c M_k = d D_i e_i, which holds exactly when c M_ki = d D_i and M_k
+    has n - 1 zeros: d D_i != 0, so M_ki is the one nonzero, and c != 0.
     """
     if not any(inverse):
         raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
     matrix = inverse if d else [[x] for x in inverse]  # a kernel vector is M with one column
     zeros = [0] * len(matrix[0])  # the seed of every sum, so a zero row A_i gives zeros, not []
-    for i, (row, D) in enumerate(zip(rows, denominators)):  # row i of A M: M's rows at A_i's nonzeros
-        terms = [map(operator.mul, repeat(row[k]), matrix[k]) for k in compress(range(len(row)), row)]
-        product = list(terms[0]) if len(terms) == 1 else list(map(sum, zip(zeros, *terms)))
-        if d:
-            product[i] -= d * D
-        if any(product):
+    columns, n1 = range(len(rows)), len(rows) - 1
+    for i, (row, D) in enumerate(zip(rows, denominators)):
+        if d and row.count(0) == n1:  # a unit row c e_k: one product and a count of zeros, both in C
+            k = next(compress(columns, row))
+            failed = row[k] * matrix[k][i] != d * D or matrix[k].count(0) != n1
+        else:  # row i of A M: M's rows at A_i's nonzeros
+            terms = [map(operator.mul, repeat(row[k]), matrix[k]) for k in compress(columns, row)]
+            product = list(map(sum, zip(zeros, *terms)))
+            if d:
+                product[i] -= d * D
+            failed = any(product)
+        if failed:
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
 
 
@@ -246,7 +255,8 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
     ``rank_one`` (U, G, e) or None for A/D itself; d = 0 marks M as a kernel
     vector.  R is M's largest row l1 sum, z = M y for y = sign(d) sign(that
     row of M/d).  m >= |d|/R holds when M/d is the inverse; each call proves
-    m <= |d|/R by e A_i z + D_i U_i (G z) = d e D_i y_i for every row i.
+    m <= |d|/R by A_i z = d D_i y_i for every row i, which a rank-one term
+    turns into e A_i z + D_i U_i (G z) = d e D_i y_i.
     ``min_modulus_sup`` builds the witness; the search reads (|d|, R) alone.
     """
     rows, denominators = base
@@ -260,10 +270,12 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
         peak = max(inverse, key=abs)
         norm, z = abs(peak), [c if peak > 0 else -c for c in inverse]
         y = z
-    U, G, e = rank_one or ([0] * len(z), [], 1)
-    gz = sum(map(operator.mul, G, z))
-    if ([e * sum(map(operator.mul, row, z)) + D * ui * gz for row, D, ui in zip(rows, denominators, U)]
-            != [d * e * D * c for D, c in zip(denominators, y)]):
+    products, scale = [sum(map(operator.mul, row, z)) for row in rows], d  # A_i z against d D_i y_i
+    if rank_one is not None:
+        U, G, e = rank_one
+        gz = sum(map(operator.mul, G, z))
+        products, scale = [e * p + D * ui * gz for p, D, ui in zip(products, denominators, U)], d * e
+    if products != [scale * D * c for D, c in zip(denominators, y)]:
         raise RuntimeError("internal: minimum-modulus witness failed re-verification")
     return abs(d), norm, z
 

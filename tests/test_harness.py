@@ -447,17 +447,19 @@ def test_read_rejects_a_negated_row_or_a_flipped_determinant(data):
     updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
     assume(d2)
     read = minmod._read_inverse
-    value, norm, z = read(updated, d2, base, rank_one)
-    # (T + K) z = d' y for a true M'/d'; with -d', the check asks for -d' y instead
-    with pytest.raises(RuntimeError, match="witness failed re-verification"):
-        read(updated, -d2, base, rank_one)
-    for i, zi in enumerate(z):
-        negated = [[-m for m in row] if r == i else row for r, row in enumerate(updated)]
-        if zi:  # z moves off M' y, the one z with (T + K) z = d' y, and fails; z_i = R on the row that sets y
-            with pytest.raises(RuntimeError, match="witness failed re-verification"):
-                read(negated, d2, base, rank_one)
-        else:  # z_i = 0: R, y and z are unchanged, so the same true witness comes back
-            assert read(negated, d2, base, rank_one) == (value, norm, z)
+    # the update M'/d' of T + K, and the certified M/d of T itself, read with no rank-one term
+    for matrix, det, term in [(updated, d2, rank_one), (inverse, d, None)]:
+        value, norm, z = read(matrix, det, base, term)
+        # (T + K) z = d' y for a true M'/d'; with -d', the check asks for -d' y instead
+        with pytest.raises(RuntimeError, match="witness failed re-verification"):
+            read(matrix, -det, base, term)
+        for i, zi in enumerate(z):
+            negated = [[-m for m in row] if r == i else row for r, row in enumerate(matrix)]
+            if zi:  # z moves off M' y, the one z with (T + K) z = d' y, and fails; z_i = R on the row that sets y
+                with pytest.raises(RuntimeError, match="witness failed re-verification"):
+                    read(negated, det, base, term)
+            else:  # z_i = 0: R, y and z are unchanged, so the same true witness comes back
+                assert read(negated, det, base, term) == (value, norm, z)
 
 
 def test_search_proposals_read_the_perturbed_minimum_modulus(monkeypatch):

@@ -322,7 +322,7 @@ def _sections(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_sections())
-def test_bordered_sections_match_the_elimination(case):
+def test_leading_sections_match_the_elimination(case):
     entries, n_min = case
     n = len(entries)
     assume(all(_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)))
@@ -339,7 +339,7 @@ def test_bordered_sections_match_the_elimination(case):
         assert [[Fraction(a, D) for a in row] for row, D in zip(*base)] == block
 
 
-def test_bordering_refuses_a_zero_leading_minor():
+def test_leading_sections_refuse_a_zero_leading_minor():
     swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]  # invertible, but its 1-section is 0
     with pytest.raises(RuntimeError, match="internal: the leading 1-section is singular"):
         list(minmodlab.minmod._leading_inverses(swap, 2))
@@ -356,17 +356,21 @@ def test_bordering_refuses_a_zero_leading_minor():
 
 
 def test_certify_rejects_forged_inverses():
-    *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(_DENSE.entries, 1)
     certify = minmodlab.minmod._certify
-    certify(inverse, d, rows, denominators)
-    forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
-    for i, j in itertools.product(range(n), range(n)):
-        bumped = [list(row) for row in inverse]
-        bumped[i][j] += 1
-        forgeries.append((bumped, d))
-    for forged, forged_d in forgeries:
-        with pytest.raises(RuntimeError, match="certificate"):
-            certify(forged, forged_d, rows, denominators)
+    deflation_rows, _ = minmodlab.minmod._integer_rows(deflation_operator(8).entries)
+    assert [sum(map(bool, row)) == 1 for row in deflation_rows] == [False] + [True] * 7
+    # a dense section, and a deflation's: its unit rows c e_k are proved by c M_ki = d D_i and M_k's zeros alone
+    for entries in (_DENSE.entries, deflation_operator(8).entries):
+        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(entries, 1)
+        certify(inverse, d, rows, denominators)
+        forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
+        for i, j in itertools.product(range(n), range(n)):
+            bumped = [list(row) for row in inverse]
+            bumped[i][j] += 1
+            forgeries.append((bumped, d))
+        for forged, forged_d in forgeries:
+            with pytest.raises(RuntimeError, match="certificate"):
+                certify(forged, forged_d, rows, denominators)
 
     # every row of a scaled permutation has one nonzero c at k, so row i of A M is c M_k alone
     permutation = Dense(((0, 2, 0), (0, 0, Fraction(-3, 4)), (Fraction(1, 2), 0, 0)))
