@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from . import minmod
-from .constructions import closed_form_min_modulus, deflation_operator
+from .constructions import closed_form_min_modulus, deflation_rows, geometric_functional
 from .exactnum import (
     Covector,
     Rational,
@@ -97,16 +97,17 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
-    T is ``deflation_operator(N)``, the T of the pair ``c0_family(N)``, read
-    as the leading N-section of the one ``deflation_operator`` built, at the
-    largest N studied.  Each section's inverse comes off one elimination of
-    that operator, certified per section, and read by the integer reader as
+    T = I - e_1 (x) f for the geometric f, as in ``c0_family(N)``, is read
+    as the leading N-section of the integer rows ``deflation_rows`` gives
+    at the largest N studied, straight from f and with no ``Fraction``
+    arithmetic.  Each section's inverse comes off one elimination of those
+    rows, certified per section, and read by the integer reader as
     (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row checks that m(T)
-    equals the closed form exactly, and the non-attainment shape of the
-    witness, in integers: |x_1| = 1 (|z_1| = R) while every tail modulus
-    stays strictly inside (1/2, 1) (R < 2 |z_j| and |z_j| < R), the tension
-    that prevents a limiting minimizer from existing.  The gap
-    m(T) - 1/2 = 1/(2(2^N - 1)) then lies in (0, 2^-N] and strictly
+    equals the closed form p/q exactly, as |d| q = R p, and the
+    non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
+    while every tail modulus stays strictly inside (1/2, 1) (R < 2 |z_j| and
+    |z_j| < R), the tension that prevents a limiting minimizer from existing.
+    The gap m(T) - 1/2 = 1/(2(2^N - 1)) then lies in (0, 2^-N] and strictly
     decreases in N, so it needs no check of its own.  Violations raise
     :class:`InvariantViolation` rather than producing a quiet bad row.
     Sections beyond ``lp_dimension_budget`` are not attempted: the report
@@ -120,28 +121,20 @@ def convergence_study(
         raise ValueError("the dimension budget must be at least 1")
     limit = min(n_max, lp_dimension_budget)
     rows = []
-    entries = deflation_operator(limit).entries if limit >= n_min else ()
-    for n, *section in minmod._leading_inverses(entries, n_min):  # deflation_operator(n), one elimination
+    base = deflation_rows(geometric_functional(limit)) if limit >= n_min else ([], [])
+    for n, *section in minmod._leading_inverses(*base, n_min):  # T's leading n-section, one elimination
         d, norm, z = minmod._read_inverse(*section)
-        value, expected = Fraction(d, norm), closed_form_min_modulus(n)
-        if value != expected:
-            raise InvariantViolation(f"m at N={n} is {value}, closed form {expected}")
+        expected = closed_form_min_modulus(n)
+        if d * expected.denominator != norm * expected.numerator:
+            raise InvariantViolation(f"m at N={n} is {Fraction(d, norm)}, closed form {expected}")
         if abs(z[0]) != norm:  # the witness is z/R with R = norm
             raise InvariantViolation(f"minimizer at N={n} has |x_1| = {Fraction(abs(z[0]), norm)} != 1")
         tail = [abs(c) for c in z[1:]]
         tail_min, tail_max = min(tail), max(tail)
         if not (norm < 2 * tail_min and tail_max < norm):
             raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                value=value,
-                closed_form=expected,
-                witness_min_tail=Fraction(tail_min, norm),
-                witness_max_tail=Fraction(tail_max, norm),
-                gap=Fraction(2 * d - norm, 2 * norm),  # value - 1/2 in one step
-            )
-        )
+        gap = Fraction(2 * d - norm, 2 * norm)  # m(T) - 1/2 in one step
+        rows.append(ConvergenceRow(n, expected, expected, Fraction(tail_min, norm), Fraction(tail_max, norm), gap))
     return ConvergenceReport(
         rows=tuple(rows), n_min=n_min, n_max=n_max, partial=limit < n_max
     )

@@ -186,14 +186,13 @@ def _certified_inverse(entries) -> tuple[list, int, tuple]:
     return _certified_rows(*_integer_rows(entries))
 
 
-def _leading_inverses(entries, n_min: int):
-    """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for T's leading n-sections from n_min up.
+def _leading_inverses(rows: list, denominators: list, n_min: int):
+    """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for the leading n-sections of T = A/D from n_min up.
 
     One ``_eliminate`` of T's integer rows A serves every section: after column n, with no swap,
     its leading n x n block is p A_n^-1 with p = det A_n, so M is that block times diag(D_n) sign(p).
     That needs nonzero leading minors, as a unit upper triangular T has.
     """
-    rows, denominators = _integer_rows(entries)
     swaps = []
     for n, (a, p) in enumerate(_eliminate(rows, swaps), 1):
         if swaps or not p:

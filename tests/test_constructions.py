@@ -14,6 +14,7 @@ from minmodlab.constructions import (
     deflation,
     deflation_operator,
     deflation_repair,
+    deflation_rows,
     direct_sum_operator,
     geometric_functional,
     minimizing_vector,
@@ -27,7 +28,7 @@ from minmodlab.exactnum import (
     sup_norm,
 )
 from minmodlab.linops import RankOne, add, identity, materialize
-from minmodlab.minmod import min_modulus_sup
+from minmodlab.minmod import _integer_rows, min_modulus_sup
 
 
 def test_geometric_functional_coefficients():
@@ -167,6 +168,29 @@ def test_each_section_leads_every_larger_section():
     for m, entries in sections.items():
         for n in range(1, m + 1):
             assert tuple(row[:n] for row in entries[:n]) == sections[n]
+
+
+def _check_deflation_rows(f: Covector) -> None:
+    # the integer rows are those _integer_rows reads off deflation(f), and over their denominators they are
+    # I - e_1 (x) f entry for entry, computed here from f alone
+    rows, denominators = deflation_rows(f)
+    assert (rows, denominators) == _integer_rows(deflation(f).entries)
+    n = len(f)
+    expected = [[Fraction(int(i == j)) - (f.coeffs[j] if i == 0 else 0) for j in range(n)] for i in range(n)]
+    assert [[Fraction(a, D) for a in row] for row, D in zip(rows, denominators)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), min_size=1, max_size=8))
+def test_deflation_rows_are_the_deflation_in_integers(coeffs):
+    # any f: a nonzero f_1, zero coefficients and coprime denominators, whose lcm is not their maximum
+    _check_deflation_rows(Covector(coeffs))
+
+
+def test_deflation_rows_of_the_geometric_functional():
+    for n in range(1, 65):
+        _check_deflation_rows(geometric_functional(n))
+    assert deflation_rows(geometric_functional(3)) == ([[4, -2, -1], [0, 1, 0], [0, 0, 1]], [4, 1, 1])
 
 
 _T_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import minmodlab.constructions
 import minmodlab.harness
 from minmodlab import minmod
 from minmodlab.constructions import closed_form_min_modulus, deflation_operator, minimizing_vector
@@ -58,12 +59,24 @@ def test_convergence_frozen_rows():
         assert Fraction(1, 2) < r.witness_min_tail <= r.witness_max_tail < 1
 
 
-def test_convergence_builds_no_family():
+def test_convergence_builds_no_family(monkeypatch):
     # the study reads m(T) off the deflation alone, so two runs agree and keep the frozen values
     expected = convergence_study(2, 6)
     report = convergence_study(2, 6)
     assert report == expected
     assert {r.n: r.value for r in report.rows} == _FROZEN_VALUES
+    # T's integer rows come from f: no Fraction matrix is built and read back, and no Fraction arithmetic is done
+    unpatched = convergence_study(2, 12)
+    with monkeypatch.context() as patch:
+        builds = [
+            _counted(patch, minmodlab.constructions, "deflation_operator"),
+            _counted(patch, minmodlab.constructions, "deflation"),
+            _counted(patch, minmod, "_integer_rows"),
+        ]
+        forbid_fraction_arithmetic(patch)
+        report = convergence_study(2, 12)
+    assert builds == [[], [], []]
+    assert report == unpatched
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
@@ -98,7 +111,7 @@ def _counted(monkeypatch, module, name: str) -> list:
 
 
 def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch):
-    builds = _counted(monkeypatch, minmodlab.harness, "deflation_operator")
+    builds = _counted(monkeypatch, minmodlab.harness, "deflation_rows")
     ladders = _counted(monkeypatch, minmod, "_leading_inverses")
     certificates = _counted(monkeypatch, minmod, "_certify")
     eliminations = _counted(monkeypatch, minmod, "_fraction_free_inverse")
@@ -107,8 +120,8 @@ def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch
     sweeps = _counted(monkeypatch, minmodlab.harness, "min_modulus_sup")
     report = convergence_study(2, 12)
     assert [r.n for r in report.rows] == list(range(2, 13))
-    assert builds == [(12,)]
-    assert [(len(entries), n_min) for entries, n_min in ladders] == [(12, 2)]
+    assert [len(f) for f, in builds] == [12]
+    assert [(len(rows), n_min) for rows, _, n_min in ladders] == [(12, 2)]
     # one elimination of T's integer rows for the whole ladder, and no full inverse or sweep; each
     # section read off it is certified and its witness re-verified on its own N
     assert [len(rows) for rows, _ in kernels] == [12]

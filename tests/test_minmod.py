@@ -25,6 +25,7 @@ from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm
 from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
 from minmodlab.minmod import (
     BudgetExceededError,
+    _integer_rows,
     brute_force_min,
     facet_minima,
     min_modulus_sup,
@@ -295,11 +296,11 @@ def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     negative = diagonal([-1, 2, 3])  # its pivot product is -6, so the scaling folds in sign = -1
     cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2), negative]
     expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
-    ladder = list(minmodlab.minmod._leading_inverses(cases[0].entries, 1))
+    ladder = list(minmodlab.minmod._leading_inverses(*_integer_rows(cases[0].entries), 1))
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
         assert [minmodlab.minmod._certified_inverse(op.entries) for op in cases] == expected
-        assert list(minmodlab.minmod._leading_inverses(cases[0].entries, 1)) == ladder
+        assert list(minmodlab.minmod._leading_inverses(*_integer_rows(cases[0].entries), 1)) == ladder
     inverse, d = _eliminate(negative)
     assert d > 0
     assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(negative)
@@ -326,7 +327,7 @@ def test_leading_sections_match_the_elimination(case):
     entries, n_min = case
     n = len(entries)
     assume(all(_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)))
-    sections = list(minmodlab.minmod._leading_inverses(entries, n_min))
+    sections = list(minmodlab.minmod._leading_inverses(*_integer_rows(entries), n_min))
     assert [k for k, *_ in sections] == list(range(n_min, n + 1))
     whole, denominators = sections[-1][3]
     for k, inverse, d, base in sections:
@@ -342,14 +343,15 @@ def test_leading_sections_match_the_elimination(case):
 def test_leading_sections_refuse_a_zero_leading_minor():
     swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]  # invertible, but its 1-section is 0
     with pytest.raises(RuntimeError, match="internal: the leading 1-section is singular"):
-        list(minmodlab.minmod._leading_inverses(swap, 2))
-    sections = minmodlab.minmod._leading_inverses([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1)
+        list(minmodlab.minmod._leading_inverses(*_integer_rows(swap), 2))
+    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    sections = minmodlab.minmod._leading_inverses(*_integer_rows(singular), 1)
     assert next(sections)[:3] == (1, [[1]], 1)
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
     # invertible (det -1), but its 2-section is singular with a nonzero below it, so the elimination swaps
     mid_swap = [[Fraction(x) for x in row] for row in [[1, 1, 0], [1, 1, 1], [0, 1, 0]]]
-    sections = minmodlab.minmod._leading_inverses(mid_swap, 1)
+    sections = minmodlab.minmod._leading_inverses(*_integer_rows(mid_swap), 1)
     assert next(sections)[:3] == (1, [[1]], 1)
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
@@ -361,7 +363,7 @@ def test_certify_rejects_forged_inverses():
     assert [sum(map(bool, row)) == 1 for row in deflation_rows] == [False] + [True] * 7
     # a dense section, and a deflation's: its unit rows c e_k are proved by c M_ki = d D_i and M_k's zeros alone
     for entries in (_DENSE.entries, deflation_operator(8).entries):
-        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(entries, 1)
+        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(*_integer_rows(entries), 1)
         certify(inverse, d, rows, denominators)
         forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
         for i, j in itertools.product(range(n), range(n)):
