@@ -39,7 +39,7 @@ from .exactnum import (
     as_rational,
     format_rational,
 )
-from .linops import Dense, RankOne, op_norm_sup
+from .linops import Dense, RankOne
 from .minmod import min_modulus_sup  # not called here: bench/test_bench.py reads harness.min_modulus_sup
 
 SCHEMA_VERSION = 1
@@ -291,10 +291,6 @@ class SearchOutcome(Record):
         )
 
 
-def _rank_one(U: list, e_u: int, G: list, e_g: int) -> RankOne:
-    return RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G))
-
-
 def _lowest(V: list, e: int) -> tuple[list, int]:
     """V/e in lowest terms, with e > 0."""
     h = gcd(*V, e)
@@ -316,10 +312,10 @@ def rank_one_search(
     current step (round-robin over u then g, +step before -step), scored by
     the exact minimum modulus m(T + K); the step halves after a
     full stalled round and a fresh random restart replaces it when it
-    underflows.  When no visited K beats K = 0, the zero perturbation is
-    returned, so the gain is never negative.  Identical seeds give identical
-    outcomes, and the reported score is recomputed from the returned
-    perturbation alone.
+    underflows.  A zero budget runs no iterations.  When no visited K scores
+    m(T) or more, K = 0 is returned, so the gain is never negative.  Every
+    outcome, K = 0 included, leaves by one exit that recomputes its score from
+    the perturbation alone.  Identical seeds give identical outcomes.
 
     T is inverted once, as a certified M/d.  The state is integers, u = U/e_u
     and g = G/e_g in lowest terms, and the step is 2^-shift.  A proposal is
@@ -337,22 +333,12 @@ def rank_one_search(
         raise ValueError("the norm budget must be nonnegative")
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
+    if budget == 0:  # only K = 0 fits
+        iterations = 0
     n = T.dim
     zero = ([1] + [0] * (n - 1), 1, [0] * n, 1)  # the state (U, e_u, G, e_g) of K = 0
     inverse, d, base = minmod._certified_inverse(T.entries)
-    base_value = Fraction(*minmod._read_inverse(inverse, d, base)[:2])
-
-    if budget == 0 or iterations == 0:
-        return SearchOutcome(
-            perturbation=_rank_one(*zero),
-            norm=_ZERO,
-            base_value=base_value,
-            perturbed_value=base_value,
-            gain=_ZERO,
-            iterations=0,
-            seed=seed,
-            evaluations=0,
-        )
+    base_score = minmod._read_inverse(inverse, d, base)[:2]
 
     rng = random.Random(seed)
     evaluations = 0
@@ -392,8 +378,8 @@ def rank_one_search(
             if any(U) and any(G):
                 return normalized(U, 8, G, 8)
 
-    state = random_state()
-    current = score(state)
+    state = random_state() if iterations else zero  # only a run with iterations draws a start
+    current = score(state) if iterations else base_score
     best_state, best_score = state, current
     shift = _SEARCH_INITIAL_SHIFT
     stall = 0
@@ -431,15 +417,16 @@ def rank_one_search(
         if beats(current, best_score):
             best_state, best_score = state, current
 
-    best_value = Fraction(*best_score)
-    if best_value < base_value:
-        best_state, best_value = zero, base_value
-    perturbation, recomputed = _rank_one(*best_state), Fraction(*fresh(best_state))
-    if recomputed != best_value:
+    if beats(base_score, best_score):  # no visited K reached K = 0's score
+        best_state, best_score = zero, base_score
+    recomputed = Fraction(*fresh(best_state))
+    if recomputed != Fraction(*best_score):
         raise InvariantViolation("search score disagrees with its recomputation")
+    U, e_u, G, e_g = best_state
+    base_value = Fraction(*base_score)
     return SearchOutcome(
-        perturbation=perturbation,
-        norm=op_norm_sup(perturbation),
+        perturbation=RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G)),
+        norm=Fraction(sum(map(abs, G)), e_g),  # sup|u| = 1, so ||u (x) g|| = l1(g)
         base_value=base_value,
         perturbed_value=recomputed,
         gain=recomputed - base_value,

@@ -3,10 +3,10 @@
 ``Dense`` is the lab's one operator type: every engine reads the rows of
 its matrix, so the builders (``identity``, ``diagonal``, ``add``) return a
 ``Dense`` eagerly.  ``RankOne`` only records the two factors of u (x) g,
-the form in which perturbations are searched and reported: ``add`` puts
-u_i g on row i of a ``Dense``, ``materialize`` expands u (x) g alone, and
-``op_norm_sup`` reads its factors.
-The sup-operator norm is the maximal row l1 sum of the matrix.
+the form in which perturbations are searched and reported, and is only
+expanded: ``add`` puts u_i g on row i of a ``Dense``, and ``materialize``
+expands u (x) g alone.  ``op_norm_sup``, the sup-operator norm, is the
+maximal row l1 sum of a ``Dense``.
 
 Dimension discipline is strict: mismatches raise ``ValueError`` instead
 of broadcasting.
@@ -99,12 +99,9 @@ def materialize(K: RankOne) -> Dense:
     return Dense(tuple(tuple(u * c for c in g) if u else zeros for u in K.direction.coords))
 
 
-def op_norm_sup(operator: Dense | RankOne) -> Rational:
+def op_norm_sup(operator: Dense) -> Rational:
     """Exact operator norm for the sup norm: max row l1 sum.
 
-    The sign vector of a maximal row (zero entries +1) attains it.  Row i of
-    u (x) g sums to |u_i| ||g||_1, so a ``RankOne`` is read off its factors.
+    The sign vector of a maximal row (zero entries +1) attains it.
     """
-    if isinstance(operator, RankOne):
-        return max(map(abs, operator.direction.coords)) * sum(map(abs, operator.functional.coeffs), _ZERO)
     return max(sum((abs(e) for e in row if e), _ZERO) for row in operator.entries)

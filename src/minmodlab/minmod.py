@@ -155,7 +155,7 @@ def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
     asks c M_k = d D_i e_i, which holds exactly when c M_ki = d D_i and M_k
     has n - 1 zeros: d D_i != 0, so M_ki is the one nonzero, and c != 0.
     """
-    if not any(inverse):
+    if not d and not any(inverse):  # the zero vector is no kernel witness
         raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
     matrix = inverse if d else [[x] for x in inverse]  # a kernel vector is M with one column
     zeros = [0] * len(matrix[0])  # the seed of every sum, so a zero row A_i gives zeros, not []
@@ -205,7 +205,7 @@ def _leading_inverses(rows: list, denominators: list, n_min: int):
             yield n, inverse, abs(p), base
 
 
-def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None = None) -> tuple[list, int]:
+def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict) -> tuple[list, int]:
     """(M', d') with (T + U (x) G / e)^-1 = M'/d', from T^-1 = M/d.
 
     Sherman-Morrison, S - (Su)(gS)/(1 + g Su), in integers: with a = MU and
@@ -213,12 +213,11 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict | None =
     When den = 0, T + U (x) G / e is singular and (a, 0) comes back: a != 0
     is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.  Each
     dot product in a, den and b = G M is one C loop, sum(map(operator.mul, u, v)).
-    ``memo``, a dict owned by one caller and one M, keeps a by U, b by G and
-    M's columns, so a search whose proposals move one factor at a time
-    computes each product once; nothing in it is ever mutated.
+    ``memo``, a dict the caller owns for one M and always passes, keeps a by
+    U, b by G and M's columns, so proposals that move one factor at a time
+    compute each product once; nothing in it is ever mutated.
     """
     U, G, e = rank_one
-    memo = {} if memo is None else memo
     a = memo.get(key := ("a", *U))
     if a is None:
         a = memo[key] = [sum(map(operator.mul, row, U)) for row in inverse]

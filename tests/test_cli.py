@@ -120,6 +120,8 @@ def test_unknown_spec_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "minmod", "paper-q", "3")
     assert code == EXIT_USAGE
     assert "unknown operator spec" in err
+    code, out, err = run_cli(capsys, "minmod", "direct-sum", "1")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: direct-sum needs dimension >= 2\n")
 
 
 def test_diagonal_spec_validation(capsys):
@@ -278,6 +280,16 @@ def test_malformed_matrix_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "minmod", str(path), "2")
     assert code == EXIT_IO
     assert err.startswith("error:") and err.count("\n") == 1
+
+    # each malformed file is one error line that names the file, and the row of a bad row
+    cases = [("", "empty matrix file"), ("\n  \n\t\n", "empty matrix file"),
+             ("two\n1 0\n0 1\n", "first line must be the dimension"),
+             ("2\n1 0\n0 1 0\n", "row 2 has 3 entries, expected 2")]
+    for text, message in cases:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "minmod", str(path), "2")
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
 
 
 def test_missing_matrix_file(capsys):

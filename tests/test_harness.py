@@ -27,7 +27,7 @@ from minmodlab.harness import (
     rank_one_search,
     weak_null_test,
 )
-from minmodlab.linops import Dense, RankOne, add, op_norm_sup
+from minmodlab.linops import Dense, RankOne, add, materialize, op_norm_sup
 from minmodlab.minmod import MinModResult, min_modulus_sup
 from support import forbid_fraction_arithmetic, small_fraction, solve_inverse
 
@@ -257,7 +257,7 @@ def test_search_zero_budget_returns_the_zero_perturbation():
     outcome = rank_one_search(t, 0, seed=5)
     assert outcome.gain == 0
     assert outcome.evaluations == 0
-    assert op_norm_sup(outcome.perturbation) == 0
+    assert op_norm_sup(materialize(outcome.perturbation)) == outcome.norm == 0
     same = rank_one_search(t, 1, seed=5, iterations=0)
     assert same.evaluations == 0
 
@@ -266,7 +266,7 @@ def test_search_respects_the_norm_cap():
     t = deflation_operator(2)
     for seed in (0, 1, 2):
         outcome = rank_one_search(t, Fraction(3, 4), seed=seed, iterations=40)
-        assert op_norm_sup(outcome.perturbation) <= Fraction(3, 4)
+        assert outcome.norm == op_norm_sup(materialize(outcome.perturbation)) <= Fraction(3, 4)
         # recomputing through the public route must agree
         assert outcome.perturbed_value == min_modulus_sup(add(t, outcome.perturbation)).value
 
@@ -364,7 +364,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
             g = Covector(small_fraction(rng, 4) for _ in range(n))
             perturbed = add(t, RankOne(u, g))
             rank_one = _integer_rank_one(u, g)
-            updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+            updated, d2 = minmod._rank_one_update(inverse, d, rank_one, {})
             assert _result(*minmod._read_inverse(updated, d2, base, rank_one)) == min_modulus_sup(perturbed)
             sign = 1 + g(solve_inverse(t).apply(u))
             assert (d2 < 0) == (sign < 0) and (d2 == 0) == (sign == 0)
@@ -385,7 +385,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
     assert 1 + g(su) == 0
     perturbed = add(t, RankOne(u, g))
     rank_one = _integer_rank_one(u, g)
-    kernel, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    kernel, d2 = minmod._rank_one_update(inverse, d, rank_one, {})
     assert d2 == 0
     (U,), (du,) = minmod._integer_rows((u.coords,))
     assert Vector(kernel) == Vector(d * du * c for c in su)
@@ -405,7 +405,7 @@ def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
 
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
-        core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one), base, rank_one)
+        core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one, {}), base, rank_one)
         # the search's recomputation: T + K's rows from T's, eliminated, certified and read afresh
         fresh = minmod._read_inverse(*minmod._certified_rows(*minmod._perturbed_rows(base, rank_one)))
     assert _result(*core) == expected
@@ -444,7 +444,7 @@ def _draw_proposal(data, mode: str) -> tuple:
 def test_update_and_read_give_the_minimum_modulus_of_any_proposal(mode, data):
     t, inverse, d, base, rank_one = _draw_proposal(data, mode)
     U, G, e = rank_one
-    updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    updated, d2 = minmod._rank_one_update(inverse, d, rank_one, {})
     if mode == "negative":
         assert d2 < 0
     if mode == "singular":
@@ -457,7 +457,7 @@ def test_update_and_read_give_the_minimum_modulus_of_any_proposal(mode, data):
 @given(data=st.data())
 def test_read_rejects_a_negated_row_or_a_flipped_determinant(data):
     _, inverse, d, base, rank_one = _draw_proposal(data, data.draw(st.sampled_from(["free", "negative"])))
-    updated, d2 = minmod._rank_one_update(inverse, d, rank_one)
+    updated, d2 = minmod._rank_one_update(inverse, d, rank_one, {})
     assume(d2)
     read = minmod._read_inverse
     # the update M'/d' of T + K, and the certified M/d of T itself, read with no rank-one term
@@ -541,10 +541,10 @@ def test_search_inverts_an_invertible_operator_once(monkeypatch):
 
     monkeypatch.setattr(minmod, "_fraction_free_inverse", counted)
     t = deflation_operator(4)
-    for iterations in (1, 7, 40):
+    for budget, iterations in ((1, 1), (1, 7), (1, 40), (1, 0), (0, 40)):
         calls.clear()
-        rank_one_search(t, 1, seed=3, iterations=iterations)
-        # the base, whose inverse every proposal updates, and the final recomputation
+        rank_one_search(t, budget, seed=3, iterations=iterations)
+        # the base, whose inverse every proposal updates, and the final recomputation, K = 0's too
         assert len(calls) == 2
     # a singular operator has no inverse to update: each proposal inverts T + K afresh
     calls.clear()

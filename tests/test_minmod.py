@@ -240,7 +240,7 @@ def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
         with pytest.raises(RuntimeError, match="witness failed re-verification"):
             read(shifted, d, base)
     rank_one = ([2, -1, 0], [1, 3, -2], 5)  # u (x) g = (2, -1, 0) (x) (1, 3, -2) / 5
-    updated, d2 = minmodlab.minmod._rank_one_update(inverse, d, rank_one)
+    updated, d2 = minmodlab.minmod._rank_one_update(inverse, d, rank_one, {})
     read(updated, d2, base, rank_one)
     updated[2][0] += 1
     with pytest.raises(RuntimeError, match="witness failed re-verification"):
