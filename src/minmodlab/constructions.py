@@ -5,16 +5,16 @@ construction: a norm-one functional f with geometric coefficients and a
 vanishing first slot, the rank-one deflation T = I - e_1 (x) f it induces,
 the rank-one repair K = e_1 (x) f with T + K = I, and the flat vectors
 x = e_1 + (1/2) sum_{j>=2} e_j along which sup_norm(Tx) descends to its
-unattained infimum 1/2.
+unattained infimum 1/2.  ``deflation(f)`` writes the deflation's integer
+rows for any f straight from f's ratios, so no ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .exactnum import Covector, Rational, Vector, basis_vector
-from .linops import Dense, RankOne
+from .linops import Dense, RankOne, integer_row
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,28 +43,17 @@ def shifted_geometric_functional(m: int) -> Covector:
     return Covector(tuple(Fraction(1, 2**j) for j in range(1, m + 1)))
 
 
-def deflation_rows(f: Covector) -> tuple[list, list]:
-    """(A, D): the integer rows A_i = D_i T_i of T = I - e_1 (x) f, each over its least common denominator D_i.
-
-    Row 1 is D_1 (e_1 - f) with D_1 the lcm of f's denominators, which are
-    those of e_1 - f; rows 2..N are unit rows over 1.  Only f's N ratios are read.
-    """
-    ratios = [c.as_integer_ratio() for c in f.coeffs]
-    D = lcm(*(q for _, q in ratios))
-    first = [-p * (D // q) for p, q in ratios]
-    first[0] += D
-    n = len(ratios)
-    zeros = [0] * n
-    return [first] + [zeros[:i] + [1] + zeros[i + 1:] for i in range(1, n)], [D] + [1] * (n - 1)
-
-
 def deflation(f: Covector) -> Dense:
-    """I - e_1 (x) f as a dense matrix on the section of f: row i is A_i / D_i of :func:`deflation_rows`."""
-    view = []
-    for row, D in zip(*deflation_rows(f)):
-        values = {a: Fraction(a, D) for a in set(row)}  # one Fraction per distinct entry, so two on a unit row
-        view.append(tuple(map(values.__getitem__, row)))
-    return Dense(tuple(view))
+    """I - e_1 (x) f on the section of f, as integer rows read off f's ratios alone.
+
+    Row 1 is D (e_1 - f) over D, the lcm of f's denominators, which are
+    those of e_1 - f; rows 2..N are unit rows over 1.
+    """
+    G, D = integer_row(f.coeffs)
+    n = len(G)
+    zeros = (0,) * n
+    units = tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(1, n))
+    return Dense.of_rows(((D - G[0],) + tuple([-g for g in G[1:]]),) + units, (D,) + (1,) * (n - 1))
 
 
 def deflation_operator(n: int) -> Dense:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from . import minmod
-from .constructions import closed_form_min_modulus, deflation_rows, geometric_functional
+from .constructions import closed_form_min_modulus, deflation, geometric_functional
 from .exactnum import (
     Covector,
     Rational,
@@ -39,7 +39,7 @@ from .exactnum import (
     as_rational,
     format_rational,
 )
-from .linops import Dense, RankOne
+from .linops import Dense, RankOne, perturbed
 from .minmod import min_modulus_sup  # not called here: bench/test_bench.py reads harness.min_modulus_sup
 
 SCHEMA_VERSION = 1
@@ -97,14 +97,14 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
-    T = I - e_1 (x) f for the geometric f, as in ``c0_family(N)``, is read
-    as the leading N-section of the integer rows ``deflation_rows`` gives
-    at the largest N studied, straight from f and with no ``Fraction``
-    arithmetic.  Each section's inverse comes off one elimination of those
-    rows, certified per section, and read by the integer reader as
-    (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row checks that m(T)
-    equals the closed form p/q exactly, as |d| q = R p, and the
-    non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
+    T = I - e_1 (x) f for the geometric f, as in ``deflation_operator(N)``,
+    is read as the leading N-section of the integer rows ``deflation``
+    writes at the largest N studied, straight from f, with no ``Fraction``
+    matrix and no ``Fraction`` arithmetic.  Each section's inverse comes off
+    one elimination of those rows, certified per section, and read by the
+    integer reader as (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row
+    checks that m(T) equals the closed form p/q exactly, as |d| q = R p, and
+    the non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
     while every tail modulus stays strictly inside (1/2, 1) (R < 2 |z_j| and
     |z_j| < R), the tension that prevents a limiting minimizer from existing.
     The gap m(T) - 1/2 = 1/(2(2^N - 1)) then lies in (0, 2^-N] and strictly
@@ -120,9 +120,11 @@ def convergence_study(
     if lp_dimension_budget < 1:
         raise ValueError("the dimension budget must be at least 1")
     limit = min(n_max, lp_dimension_budget)
-    rows = []
-    base = deflation_rows(geometric_functional(limit)) if limit >= n_min else ([], [])
-    for n, *section in minmod._leading_inverses(*base, n_min):  # T's leading n-section, one elimination
+    rows, sections = [], ()
+    if limit >= n_min:  # every section studied leads the largest
+        T = deflation(geometric_functional(limit))
+        sections = minmod._leading_inverses(T.rows, T.denominators, n_min)
+    for n, *section in sections:  # T's leading n-section, one elimination
         d, norm, z = minmod._read_inverse(*section)
         expected = closed_form_min_modulus(n)
         if d * expected.denominator != norm * expected.numerator:
@@ -312,10 +314,11 @@ def rank_one_search(
     current step (round-robin over u then g, +step before -step), scored by
     the exact minimum modulus m(T + K); the step halves after a
     full stalled round and a fresh random restart replaces it when it
-    underflows.  A zero budget runs no iterations.  When no visited K scores
-    m(T) or more, K = 0 is returned, so the gain is never negative.  Every
-    outcome, K = 0 included, leaves by one exit that recomputes its score from
-    the perturbation alone.  Identical seeds give identical outcomes.
+    underflows.  A zero budget runs no iterations.  Unless some visited K
+    beats m(T), K = 0 is returned, so the gain is never negative and a K
+    that only ties m(T) gives way to K = 0.  Every outcome, K = 0 included,
+    leaves by one exit that recomputes its score from the perturbation
+    alone.  Identical seeds give identical outcomes.
 
     T is inverted once, as a certified M/d.  The state is integers, u = U/e_u
     and g = G/e_g in lowest terms, and the step is 2^-shift.  A proposal is
@@ -325,8 +328,8 @@ def rank_one_search(
     with M as it was, so a memo for this call computes MU once per distinct
     U and GM once per distinct G.  The final recomputation reads none of M
     or the memo: it eliminates T + K's integer rows afresh, built from T's
-    certified rows and the state, certifies the inverse and reads it.  A
-    singular T has no inverse, so then each T + K is scored that way.
+    rows and the state by ``perturbed``, certifies the inverse and reads
+    it.  A singular T has no inverse, so then each T + K is scored that way.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -337,7 +340,7 @@ def rank_one_search(
         iterations = 0
     n = T.dim
     zero = ([1] + [0] * (n - 1), 1, [0] * n, 1)  # the state (U, e_u, G, e_g) of K = 0
-    inverse, d, base = minmod._certified_inverse(T.entries)
+    inverse, d, base = minmod._certified_rows(T.rows, T.denominators)
     base_score = minmod._read_inverse(inverse, d, base)[:2]
 
     rng = random.Random(seed)
@@ -357,7 +360,8 @@ def rank_one_search(
     def fresh(state) -> tuple[int, int]:
         """(|d|, R) of T + K, by a certified elimination of its integer rows built from T's."""
         U, e_u, G, e_g = state
-        return minmod._read_inverse(*minmod._certified_rows(*minmod._perturbed_rows(base, (U, G, e_u * e_g))))[:2]
+        TK = perturbed(T, (U, G, e_u * e_g))
+        return minmod._read_inverse(*minmod._certified_rows(TK.rows, TK.denominators))[:2]
 
     def score(state) -> tuple[int, int]:
         nonlocal evaluations
@@ -417,7 +421,7 @@ def rank_one_search(
         if beats(current, best_score):
             best_state, best_score = state, current
 
-    if beats(base_score, best_score):  # no visited K reached K = 0's score
+    if not beats(best_score, base_score):  # no visited K beat K = 0's score
         best_state, best_score = zero, base_score
     recomputed = Fraction(*fresh(best_state))
     if recomputed != Fraction(*best_score):

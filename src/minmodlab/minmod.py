@@ -8,10 +8,10 @@ columns, gives S = M/d in integers, and on the way each leading section's
 inverse for ``_leading_inverses``; A M = d diag(D), summed in C over A's
 nonzeros and, on a row with one nonzero, checked by one product and a count
 of zeros, proves the lower bound and the re-verified witness the upper one.
-``_rank_one_update`` turns M/d into (T + u (x) g)^-1 in O(N^2) integer steps,
-so the search inverts T once, and reuses MU and GM across proposals that
-share a factor; ``_perturbed_rows`` builds T + U (x) G / e's integer rows
-from T's, for the fresh certified elimination that checks its best score.
+Every engine reads T's integer rows A_i = D_i T_i, the two fields of
+``Dense``, as they are.  ``_rank_one_update`` turns M/d into
+(T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once, and
+reuses MU and GM across proposals that share a factor.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -27,9 +27,9 @@ bounds each box through exact interval arithmetic on the rows of T and
 refines until boxes are thinner than the requested resolution h,
 returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
 point and upper - lower <= lipschitz * h/2.  The arithmetic is on
-integers: A = D T, from the same ``_integer_rows`` as the inverse, with each
-row rescaled to D, the least common multiple of the row denominators (one
-D for all rows, because the bound is a maximum across rows), and
+integers: A = D T, T's rows as the inverse reads them, each rescaled to D,
+the least common multiple of the row denominators (one D for all rows,
+because the bound is a maximum across rows), and
 lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
 centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
 row's centre value and half-width are integers over the one denominator
@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from .exactnum import Rational, RationalInput, Record, Vector, as_rational
 from .linops import Dense, op_norm_sup
@@ -127,25 +127,6 @@ def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
     return [list(map(operator.mul, row, scale)) for row in a], sign * p
 
 
-def _integer_rows(entries) -> tuple[list, list]:
-    """(A, D): T's integer rows A_i = D_i T_i, each over the least common denominator D_i of row i."""
-    ratios = [[e.as_integer_ratio() for e in row] for row in entries]
-    denominators = [lcm(*(q for _, q in row)) for row in ratios]
-    return [[p * (D // q) for p, q in row] for row, D in zip(ratios, denominators)], denominators
-
-
-def _perturbed_rows(base: tuple, rank_one: tuple) -> tuple[list, list]:
-    """``_integer_rows`` of A/D + U (x) G / e: row i is e A_i + D_i U_i G over e D_i, over their gcd.
-
-    The lcm form of a row of reduced fractions is the one form with gcd 1
-    with its denominator, so no ``Fraction`` sum is needed.
-    """
-    U, G, e = rank_one
-    rows = [[e * a + D * ui * g for a, g in zip(row, G)] + [e * D] for row, D, ui in zip(*base, U)]
-    rows = [[x // h for x in row] for row in rows for h in [gcd(*row)]]  # e D_i rides last, so the gcd covers it
-    return [row[:-1] for row in rows], [row[-1] for row in rows]
-
-
 def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
     """Prove A M = d diag(D) for T = A/D, or A a = 0 with a != 0 when d = 0, or raise.
 
@@ -174,19 +155,14 @@ def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
             raise RuntimeError("internal: the inverse failed its certificate A M = d diag(D)")
 
 
-def _certified_rows(rows: list, denominators: list) -> tuple[list, int, tuple]:
-    """``_fraction_free_inverse`` of the integer rows of T = A/D, proved by ``_certify``; also returns (A, D)."""
+def _certified_rows(rows: tuple, denominators: tuple) -> tuple[list, int, tuple]:
+    """``_fraction_free_inverse`` of T = A/D from its integer rows, proved by ``_certify``; also returns (A, D)."""
     inverse, d = _fraction_free_inverse(rows, denominators)
     _certify(inverse, d, rows, denominators)
     return inverse, d, (rows, denominators)
 
 
-def _certified_inverse(entries) -> tuple[list, int, tuple]:
-    """``_certified_rows`` of T's ``_integer_rows``."""
-    return _certified_rows(*_integer_rows(entries))
-
-
-def _leading_inverses(rows: list, denominators: list, n_min: int):
+def _leading_inverses(rows: tuple, denominators: tuple, n_min: int):
     """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for the leading n-sections of T = A/D from n_min up.
 
     One ``_eliminate`` of T's integer rows A serves every section: after column n, with no swap,
@@ -242,7 +218,7 @@ def min_modulus_sup(T: Dense) -> MinModResult:
     first entry of largest modulus +1.  The certified inverse proves
     m(T) >= value, and the re-verified witness m(T) <= value.
     """
-    value, norm, z = _read_inverse(*_certified_inverse(T.entries))
+    value, norm, z = _read_inverse(*_certified_rows(T.rows, T.denominators))
     return MinModResult(Fraction(value, norm), Vector(Fraction(c, norm) for c in z), (z.index(norm) + 1, 1))
 
 
@@ -383,7 +359,7 @@ def brute_force_min(
     if point_budget < 1:
         raise ValueError("point budget must be at least 1")
     n = T.dim
-    rows, denominators = _integer_rows(T.entries)
+    rows, denominators = T.rows, T.denominators
     denominator = lcm(*denominators)  # one D for all rows, since the bound is a maximum across rows
     rows = [[a * (denominator // D) for a in row] for row, D in zip(rows, denominators)]
     columns = list(zip(*rows))

@@ -16,7 +16,7 @@ from typing import Optional
 from minmodlab.exactnum import Covector, RationalInput, Vector, as_rational, sup_norm
 from minmodlab.linops import Dense, RankOne, add, diagonal, identity, materialize
 from minmodlab.lpsolve import LinearProgram, linear_program, solve
-from minmodlab.minmod import MinModResult
+from minmodlab.minmod import MinModResult, _certified_rows
 
 
 def small_fraction(rng: random.Random, span: int = 8) -> Fraction:
@@ -88,6 +88,11 @@ def solve_inverse(op: Dense) -> Optional[Dense]:
     if None in columns:
         return None
     return Dense(tuple(zip(*columns)))
+
+
+def certified_inverse(op: Dense) -> tuple[list, int, tuple]:
+    """(M, d, (A, D)): the library's certified inverse M/d of the operator, read off its integer rows."""
+    return _certified_rows(op.rows, op.denominators)
 
 
 def forbid_fraction_arithmetic(patch) -> None:

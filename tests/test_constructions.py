@@ -14,7 +14,6 @@ from minmodlab.constructions import (
     deflation,
     deflation_operator,
     deflation_repair,
-    deflation_rows,
     direct_sum_operator,
     geometric_functional,
     minimizing_vector,
@@ -27,8 +26,8 @@ from minmodlab.exactnum import (
     dual_norm_l1,
     sup_norm,
 )
-from minmodlab.linops import RankOne, add, identity, materialize
-from minmodlab.minmod import _integer_rows, min_modulus_sup
+from minmodlab.linops import Dense, RankOne, add, identity, materialize
+from minmodlab.minmod import min_modulus_sup
 
 
 def test_geometric_functional_coefficients():
@@ -171,10 +170,12 @@ def test_each_section_leads_every_larger_section():
 
 
 def _check_deflation_rows(f: Covector) -> None:
-    # the integer rows are those _integer_rows reads off deflation(f), and over their denominators they are
-    # I - e_1 (x) f entry for entry, computed here from f alone
-    rows, denominators = deflation_rows(f)
-    assert (rows, denominators) == _integer_rows(deflation(f).entries)
+    # the integer rows deflation(f) writes are those Dense reads off its entries, and over their denominators
+    # they are I - e_1 (x) f entry for entry, computed here from f alone
+    t = deflation(f)
+    rows, denominators = t.rows, t.denominators
+    read = Dense(t.entries)
+    assert (rows, denominators) == (read.rows, read.denominators)
     n = len(f)
     expected = [[Fraction(int(i == j)) - (f.coeffs[j] if i == 0 else 0) for j in range(n)] for i in range(n)]
     assert [[Fraction(a, D) for a in row] for row, D in zip(rows, denominators)] == expected
@@ -190,7 +191,8 @@ def test_deflation_rows_are_the_deflation_in_integers(coeffs):
 def test_deflation_rows_of_the_geometric_functional():
     for n in range(1, 65):
         _check_deflation_rows(geometric_functional(n))
-    assert deflation_rows(geometric_functional(3)) == ([[4, -2, -1], [0, 1, 0], [0, 0, 1]], [4, 1, 1])
+    t = deflation(geometric_functional(3))
+    assert (t.rows, t.denominators) == (((4, -2, -1), (0, 1, 0), (0, 0, 1)), (4, 1, 1))
 
 
 _T_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import minmodlab.constructions
 import minmodlab.harness
 from minmodlab import minmod
-from minmodlab.constructions import closed_form_min_modulus, deflation_operator, minimizing_vector
+from minmodlab.constructions import closed_form_min_modulus, deflation_operator, deflation_repair, minimizing_vector
 from minmodlab.exactnum import Covector, Vector, basis_vector
 from minmodlab.harness import (
     ConvergenceRow,
@@ -27,9 +27,9 @@ from minmodlab.harness import (
     rank_one_search,
     weak_null_test,
 )
-from minmodlab.linops import Dense, RankOne, add, materialize, op_norm_sup
+from minmodlab.linops import Dense, RankOne, add, diagonal, identity, integer_row, materialize, op_norm_sup, perturbed
 from minmodlab.minmod import MinModResult, min_modulus_sup
-from support import forbid_fraction_arithmetic, small_fraction, solve_inverse
+from support import certified_inverse, forbid_fraction_arithmetic, small_fraction, solve_inverse
 
 
 # --- convergence -----------------------------------------------------------
@@ -70,9 +70,11 @@ def test_convergence_builds_no_family(monkeypatch):
     with monkeypatch.context() as patch:
         builds = [
             _counted(patch, minmodlab.constructions, "deflation_operator"),
-            _counted(patch, minmodlab.constructions, "deflation"),
-            _counted(patch, minmod, "_integer_rows"),
+            _counted(patch, Dense, "__init__"),  # Dense(entries), which reads a matrix of rationals
+            reads := [],
         ]
+        entries = Dense.entries
+        patch.setattr(Dense, "entries", property(lambda t: reads.append(t) or entries.fget(t)))
         forbid_fraction_arithmetic(patch)
         report = convergence_study(2, 12)
     assert builds == [[], [], []]
@@ -82,7 +84,7 @@ def test_convergence_builds_no_family(monkeypatch):
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
     # the reader's (|d|, R, z) at N=3 is (4, 7, [7, 4, 4]); scaled by 4, each bent value is an integer
     # over R = 28: the value is right but |x_1| != 1 or a tail modulus leaves (1/2, 1), or |d| is wrong
-    d, norm, z = minmod._read_inverse(*minmod._certified_inverse(deflation_operator(3).entries))
+    d, norm, z = minmod._read_inverse(*certified_inverse(deflation_operator(3)))
     assert (d, norm, z) == (4, 7, [7, 4, 4])
     d, norm, z = 4 * d, 4 * norm, [4 * c for c in z]
     bent = [
@@ -111,7 +113,7 @@ def _counted(monkeypatch, module, name: str) -> list:
 
 
 def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch):
-    builds = _counted(monkeypatch, minmodlab.harness, "deflation_rows")
+    builds = _counted(monkeypatch, minmodlab.harness, "deflation")
     ladders = _counted(monkeypatch, minmod, "_leading_inverses")
     certificates = _counted(monkeypatch, minmod, "_certify")
     eliminations = _counted(monkeypatch, minmod, "_fraction_free_inverse")
@@ -262,6 +264,14 @@ def test_search_zero_budget_returns_the_zero_perturbation():
     assert same.evaluations == 0
 
 
+def test_search_gives_way_to_the_zero_perturbation_on_a_tie():
+    # the one step visits K = (4/5, 1) (x) (-1/3, 0), which only ties m(T) = 0, so K = 0 comes back with norm 0
+    outcome = rank_one_search(diagonal([0, 0]), "1/3", seed=0, iterations=1)
+    assert outcome.perturbation == RankOne(Vector([1, 0]), Covector([0, 0]))
+    assert (outcome.norm, outcome.base_value, outcome.perturbed_value, outcome.gain) == (0, 0, 0, 0)
+    assert outcome.evaluations == 3
+
+
 def test_search_respects_the_norm_cap():
     t = deflation_operator(2)
     for seed in (0, 1, 2):
@@ -338,8 +348,7 @@ def _invertible_dense(rng: random.Random, n: int) -> Dense:
 
 
 def _integer_rank_one(u: Vector, g: Covector) -> tuple:
-    (U,), (du,) = minmod._integer_rows((u.coords,))
-    (G,), (dg,) = minmod._integer_rows((g.coeffs,))
+    (U, du), (G, dg) = integer_row(u.coords), integer_row(g.coeffs)
     return U, G, du * dg
 
 
@@ -354,9 +363,9 @@ def test_rank_one_update_matches_a_fresh_inverse():
     for n in range(1, 7):
         for _ in range(4):
             t = _invertible_dense(rng, n)
-            inverse, d, base = minmod._certified_inverse(t.entries)
+            inverse, d, base = certified_inverse(t)
             rows, denominators = base  # the certified rows A_i = D_i T_i, D_i the least denominator of row i
-            assert denominators == [lcm(*(e.denominator for e in row)) for row in t.entries]
+            assert list(denominators) == [lcm(*(e.denominator for e in row)) for row in t.entries]
             assert [[Fraction(a, D) for a in row] for row, D in zip(rows, denominators)] == list(map(list, t.entries))
             u = [small_fraction(rng, 4) for _ in range(n)]
             u[rng.randint(1, n) - 1] = 1
@@ -376,7 +385,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
 
     # 1 + g(Su) = 0: T + u (x) g is singular and Su spans its kernel
     t = _invertible_dense(rng, 4)
-    inverse, d, base = minmod._certified_inverse(t.entries)
+    inverse, d, base = certified_inverse(t)
     u = Vector(["1", "-1/2", "3/4", "0"])
     su = solve_inverse(t).apply(u)
     k = next(j for j, c in enumerate(su.coords, 1) if c)
@@ -387,7 +396,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
     rank_one = _integer_rank_one(u, g)
     kernel, d2 = minmod._rank_one_update(inverse, d, rank_one, {})
     assert d2 == 0
-    (U,), (du,) = minmod._integer_rows((u.coords,))
+    _, du = integer_row(u.coords)
     assert Vector(kernel) == Vector(d * du * c for c in su)
     assert perturbed.apply(Vector(kernel)) == Vector([0] * 4)
     value, norm, z = minmod._read_inverse(kernel, d2, base, rank_one)
@@ -397,7 +406,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
 
 def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
     t = deflation_operator(5)
-    inverse, d, base = minmod._certified_inverse(t.entries)
+    inverse, d, base = certified_inverse(t)
     u = Vector(["1", "-1/2", "3/8", "0", "1/4"])
     g = Covector(["1/8", "0", "-3/4", "1/2", "1/3"])
     rank_one = _integer_rank_one(u, g)
@@ -407,9 +416,13 @@ def test_proposals_are_scored_without_fraction_arithmetic(monkeypatch):
         forbid_fraction_arithmetic(patch)
         core = minmod._read_inverse(*minmod._rank_one_update(inverse, d, rank_one, {}), base, rank_one)
         # the search's recomputation: T + K's rows from T's, eliminated, certified and read afresh
-        fresh = minmod._read_inverse(*minmod._certified_rows(*minmod._perturbed_rows(base, rank_one)))
+        tk = perturbed(t, rank_one)
+        fresh = minmod._read_inverse(*minmod._certified_rows(tk.rows, tk.denominators))
+        # T + K as perturb and paper-check score it: add writes its integer rows from T's and K's factors
+        repaired = min_modulus_sup(add(deflation_operator(12), deflation_repair(12)))
     assert _result(*core) == expected
     assert _result(*fresh) == expected
+    assert repaired == min_modulus_sup(identity(12)) and repaired.value == 1
 
 
 _ENTRY = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 4, 8)))
@@ -426,7 +439,7 @@ def _draw_proposal(data, mode: str) -> tuple:
     n = data.draw(st.integers(1, 6), label="n")
     t = Dense(tuple(tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n))) for _ in range(n)))
     assume(min_modulus_sup(t).value)
-    inverse, d, base = minmod._certified_inverse(t.entries)
+    inverse, d, base = certified_inverse(t)
     U = data.draw(st.lists(_SPARSE, min_size=n, max_size=n), label="U")
     G = data.draw(st.lists(_SPARSE, min_size=n, max_size=n), label="G")
     e = data.draw(st.integers(1, 12), label="e")
@@ -514,8 +527,9 @@ def _perturbed_draws(draw):
 def test_perturbed_rows_are_the_integer_rows_of_the_sum(draw):
     entries, U, G, e_u, e_g = draw
     k = RankOne(Vector(Fraction(c, e_u) for c in U), Covector(Fraction(c, e_g) for c in G))
-    expected = minmod._integer_rows(add(Dense(tuple(map(tuple, entries))), k).entries)
-    assert minmod._perturbed_rows(minmod._integer_rows(entries), (U, G, e_u * e_g)) == expected
+    t = Dense(entries)
+    expected = Dense(tuple(tuple(a + b for a, b in zip(row, kr)) for row, kr in zip(t.entries, materialize(k).entries)))
+    assert perturbed(t, (U, G, e_u * e_g)) == add(t, k) == expected
 
 
 def test_search_rejects_a_score_its_recomputation_disputes(monkeypatch):

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import random
+import tempfile
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm
+from minmodlab.cli import read_dense_operator
+from minmodlab.constructions import deflation, direct_sum_operator
+from minmodlab.exactnum import Covector, Vector, basis_vector, format_rational, sup_norm
 from minmodlab.linops import (
     Dense,
     RankOne,
@@ -143,3 +148,39 @@ def test_builders_return_dense():
     assert add(identity(2), k).entries == ((Fraction(3, 2), 0), (Fraction(-1, 4), 1))
     assert add(diagonal([0] * 2), k) == materialize(k)
 
+
+
+def _read_matrix(rows: list) -> Dense:
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "matrix.txt"
+        path.write_text(f"{len(rows)}\n" + "".join(" ".join(map(format_rational, row)) + "\n" for row in rows))
+        return read_dense_operator(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_every_builder_writes_canonical_integer_rows(n, data):
+    # of_rows trusts its callers: each row A_i / D_i with gcd(A_i, D_i) = 1 and D_i > 0, the one form
+    # Dense(entries) reads, so equality and hashes compare matrices whatever built them
+    def vector():
+        return data.draw(st.lists(_FACTOR_ENTRY, min_size=n, max_size=n))
+
+    def rank_one():
+        return RankOne(Vector(vector()), Covector(vector()))
+
+    builders = {
+        "identity": lambda: identity(n),
+        "diagonal": lambda: diagonal(vector()),
+        "materialize": lambda: materialize(rank_one()),
+        "add": lambda: add(Dense([vector() for _ in range(n)]), rank_one()),
+        "deflation": lambda: deflation(Covector(vector())),
+        "direct_sum_operator": lambda: direct_sum_operator(Covector(vector())),
+        "read_dense_operator": lambda: _read_matrix([vector() for _ in range(n)]),
+        "random_structured_operator": lambda: random_structured_operator(
+            random.Random(data.draw(st.integers(0, 2**32))), n),
+    }
+    t = builders[data.draw(st.sampled_from(sorted(builders)), label="builder")]()
+    read = Dense(t.entries)
+    assert read == t and hash(read) == hash(t)
+    assert len(t.rows) == len(t.denominators) == t.dim
+    assert all(D > 0 and gcd(*row, D) == 1 for row, D in zip(t.rows, t.denominators))

@@ -25,12 +25,12 @@ from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm
 from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
 from minmodlab.minmod import (
     BudgetExceededError,
-    _integer_rows,
     brute_force_min,
     facet_minima,
     min_modulus_sup,
 )
 from support import (
+    certified_inverse,
     certifies,
     forbid_fraction_arithmetic,
     random_structured_operator,
@@ -133,8 +133,8 @@ def _sparse_fraction(rng: random.Random) -> Fraction:
 
 
 def _eliminate(op: Dense) -> tuple[list, int]:
-    # the elimination's input: the certified base, each row over its own least denominator
-    return minmodlab.minmod._fraction_free_inverse(*minmodlab.minmod._certified_inverse(op.entries)[2])
+    # the elimination's input: the operator's integer rows, each over its own least denominator
+    return minmodlab.minmod._fraction_free_inverse(op.rows, op.denominators)
 
 
 def test_fraction_free_inverse_matches_solve_square():
@@ -230,8 +230,8 @@ _SINGULAR = Dense(((Fraction(1, 2), 2, 0), (1, 4, 0), (0, Fraction(1, 3), 1)))
 
 
 def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
-    inverse, d, base = minmodlab.minmod._certified_inverse(_DENSE.entries)
-    assert base[1] == [15, 63, 15]
+    inverse, d, base = certified_inverse(_DENSE)
+    assert base[1] == (15, 63, 15)
     # the witness check alone also rejects M with any entry one off, and one entry of an updated M'
     read = minmodlab.minmod._read_inverse
     for i, j, step in itertools.product(range(3), range(3), (1, -1)):
@@ -259,7 +259,7 @@ def test_certificate_rejects_a_corrupted_inverse(monkeypatch):
     for op, forged in forgeries:
         monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", lambda rows, denominators: forged)
         with pytest.raises(RuntimeError, match="certificate"):
-            minmodlab.minmod._certified_inverse(op.entries)
+            certified_inverse(op)
 
 
 def test_certificate_that_skips_the_zeros_of_a_stays_sound(monkeypatch):
@@ -272,7 +272,7 @@ def test_certificate_that_skips_the_zeros_of_a_stays_sound(monkeypatch):
 
     def certify(op, forged):
         monkeypatch.setattr(minmodlab.minmod, "_fraction_free_inverse", lambda rows, denominators: forged)
-        return minmodlab.minmod._certified_inverse(op.entries)
+        return certified_inverse(op)
 
     forgeries = [(inverse, -d)]
     for i, j, step in itertools.product(range(5), range(5), (1, -1)):
@@ -295,12 +295,12 @@ def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     # there on the elimination and its certificate work in integers alone
     negative = diagonal([-1, 2, 3])  # its pivot product is -6, so the scaling folds in sign = -1
     cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2), negative]
-    expected = [minmodlab.minmod._certified_inverse(op.entries) for op in cases]
-    ladder = list(minmodlab.minmod._leading_inverses(*_integer_rows(cases[0].entries), 1))
+    expected = [certified_inverse(op) for op in cases]
+    ladder = list(minmodlab.minmod._leading_inverses(cases[0].rows, cases[0].denominators, 1))
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
-        assert [minmodlab.minmod._certified_inverse(op.entries) for op in cases] == expected
-        assert list(minmodlab.minmod._leading_inverses(*_integer_rows(cases[0].entries), 1)) == ladder
+        assert [certified_inverse(op) for op in cases] == expected
+        assert list(minmodlab.minmod._leading_inverses(cases[0].rows, cases[0].denominators, 1)) == ladder
     inverse, d = _eliminate(negative)
     assert d > 0
     assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(negative)
@@ -315,24 +315,24 @@ def _sections(draw):
     # and the first section to yield
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
-        entries = deflation(Covector([0, *draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))])).entries
+        t = deflation(Covector([0, *draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))]))
     else:
-        entries = [draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(n)]
-    return entries, draw(st.integers(1, n))
+        t = Dense([draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(n)])
+    return t, draw(st.integers(1, n))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_sections())
 def test_leading_sections_match_the_elimination(case):
-    entries, n_min = case
-    n = len(entries)
+    t, n_min = case
+    entries, n = t.entries, t.dim
     assume(all(_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)))
-    sections = list(minmodlab.minmod._leading_inverses(*_integer_rows(entries), n_min))
+    sections = list(minmodlab.minmod._leading_inverses(t.rows, t.denominators, n_min))
     assert [k for k, *_ in sections] == list(range(n_min, n + 1))
     whole, denominators = sections[-1][3]
     for k, inverse, d, base in sections:
         block = [list(row[:k]) for row in entries[:k]]
-        expected, e, _ = minmodlab.minmod._certified_inverse(block)
+        expected, e, _ = certified_inverse(Dense(block))
         assert d > 0
         assert [[Fraction(m, d) for m in row] for row in inverse] == [[Fraction(m, e) for m in row] for row in expected]
         # A_k is the leading block of one integer matrix, each row over its whole row's denominator
@@ -341,17 +341,18 @@ def test_leading_sections_match_the_elimination(case):
 
 
 def test_leading_sections_refuse_a_zero_leading_minor():
-    swap = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]  # invertible, but its 1-section is 0
+    leading = minmodlab.minmod._leading_inverses
+    swap = Dense([[0, 1], [1, 0]])  # invertible, but its 1-section is 0
     with pytest.raises(RuntimeError, match="internal: the leading 1-section is singular"):
-        list(minmodlab.minmod._leading_inverses(*_integer_rows(swap), 2))
-    singular = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    sections = minmodlab.minmod._leading_inverses(*_integer_rows(singular), 1)
+        list(leading(swap.rows, swap.denominators, 2))
+    singular = Dense([[1, 2], [2, 4]])
+    sections = leading(singular.rows, singular.denominators, 1)
     assert next(sections)[:3] == (1, [[1]], 1)
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
     # invertible (det -1), but its 2-section is singular with a nonzero below it, so the elimination swaps
-    mid_swap = [[Fraction(x) for x in row] for row in [[1, 1, 0], [1, 1, 1], [0, 1, 0]]]
-    sections = minmodlab.minmod._leading_inverses(*_integer_rows(mid_swap), 1)
+    mid_swap = Dense([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
+    sections = leading(mid_swap.rows, mid_swap.denominators, 1)
     assert next(sections)[:3] == (1, [[1]], 1)
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
@@ -359,11 +360,10 @@ def test_leading_sections_refuse_a_zero_leading_minor():
 
 def test_certify_rejects_forged_inverses():
     certify = minmodlab.minmod._certify
-    deflation_rows, _ = minmodlab.minmod._integer_rows(deflation_operator(8).entries)
-    assert [sum(map(bool, row)) == 1 for row in deflation_rows] == [False] + [True] * 7
+    assert [sum(map(bool, row)) == 1 for row in deflation_operator(8).rows] == [False] + [True] * 7
     # a dense section, and a deflation's: its unit rows c e_k are proved by c M_ki = d D_i and M_k's zeros alone
-    for entries in (_DENSE.entries, deflation_operator(8).entries):
-        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(*_integer_rows(entries), 1)
+    for t in (_DENSE, deflation_operator(8)):
+        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(t.rows, t.denominators, 1)
         certify(inverse, d, rows, denominators)
         forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
         for i, j in itertools.product(range(n), range(n)):
@@ -376,7 +376,7 @@ def test_certify_rejects_forged_inverses():
 
     # every row of a scaled permutation has one nonzero c at k, so row i of A M is c M_k alone
     permutation = Dense(((0, 2, 0), (0, 0, Fraction(-3, 4)), (Fraction(1, 2), 0, 0)))
-    inverse, d, (rows, denominators) = minmodlab.minmod._certified_inverse(permutation.entries)
+    inverse, d, (rows, denominators) = certified_inverse(permutation)
     forgeries = [(inverse, 2 * d)]
     for (i, row), j in itertools.product(enumerate(rows), range(3)):
         k = next(k for k, c in enumerate(row) if c)
