@@ -54,7 +54,7 @@ def linear_program(
     """The program on ``Fraction`` data; constraints are (coeffs, rhs) pairs meaning coeffs . x <= rhs.
 
     The data are taken as given, not coerced or re-checked:
-    ``_facet_minimum`` builds them from a validated operator, all
+    ``facet_minima`` builds them from a validated operator, all
     Fractions, one bound pair per variable and rows of full width.  The one
     check kept is the one the simplex needs: ``ValueError`` when the corner
     x = lower violates a row.  An empty interval lower > upper passes here

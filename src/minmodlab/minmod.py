@@ -8,8 +8,9 @@ columns, gives S = M/d in integers, and on the way each leading section's
 inverse for ``_leading_inverses``; A M = d diag(D), summed in C over A's
 nonzeros and, on a row with one nonzero, checked by one product and a count
 of zeros, proves the lower bound and the re-verified witness the upper one.
-Every engine reads T's integer rows A_i = D_i T_i, the two fields of
-``Dense``, as they are.  ``_rank_one_update`` turns M/d into
+The inverse, the search and the oracle read T's integer rows
+A_i = D_i T_i, the two fields of ``Dense``, as they are; the facet LPs read
+``T.entries``.  ``_rank_one_update`` turns M/d into
 (T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once, and
 reuses MU and GM across proposals that share a factor.
 
@@ -19,7 +20,8 @@ facet, minimizing sup_i |(Tx)_i| is the linear program
 
     minimize t   subject to   -t <= (Tx)_i <= t,  |x_j| <= 1,  x_k = sigma,
 
-and the N facets with sigma = +1 suffice, since T(-x) = -Tx.
+and the N facets with sigma = +1 suffice, since T(-x) = -Tx.  The
+programs differ only in x_k's bounds, so the rows are built once.
 
 ``brute_force_min`` is the independent check: a certified branch-and-bound
 over the same facets that touches neither the inverse nor the LP.  It
@@ -33,9 +35,9 @@ because the bound is a maximum across rows), and
 lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
 centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
 row's centre value and half-width are integers over the one denominator
-D 2^L and bounds compare as plain integers.  The half-widths are a function
-of the radii, and the split of the radii and the steer row, so one call plans
-each split once and a box costs O(N); floats only order the queue.
+D 2^L and bounds compare as plain integers, the heap's order included.
+Each box carries its half-widths; the split is a function of the radii and
+the steer row, so one call plans each split once and a box costs O(N).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from math import inf, lcm
+from math import lcm
 
 from .exactnum import Rational, RationalInput, Record, Vector, as_rational
 from .linops import Dense, op_norm_sup
@@ -254,47 +256,38 @@ def _read_inverse(inverse: list, d: int, base: tuple, rank_one: tuple | None = N
     return abs(d), norm, z
 
 
-def _facet_minimum(entries, k: int, sigma: int, norm: Rational) -> Rational:
-    """Exact minimum over the facet x_k = sigma, via one LP started at a feasible corner.
-
-    The variables are (x_1..x_N, s) with s = -t in [-U, 0], where
-    U = ``norm`` = op_norm_sup(T).  For each row i the program has
-    (Tx)_i + s <= 0 and -(Tx)_i + s <= 0, that is |(Tx)_i| <= t, and it
-    minimizes -s, so the optimum is t itself.  U bounds every facet value,
-    so the box on s loses no optimum.  The corner x_j = -1 (j != k),
-    x_k = sigma, s = -U satisfies every row, because
-    |(Tx)_i| <= sum_j |T_ij| <= U; the simplex starts there, with no
-    phase 1.
-    """
-    n = len(entries)
-    objective = [_ZERO] * n + [-_ONE]
-    constraints = []
-    for row in entries:
-        constraints.append((list(row) + [_ONE], _ZERO))  # (Tx)_i <= t
-        constraints.append(([-e for e in row] + [_ONE], _ZERO))  # -(Tx)_i <= t
-    bounds = [(-_ONE, _ONE)] * n + [(-norm, _ZERO)]
-    bounds[k - 1] = (Fraction(sigma), Fraction(sigma))
-    return solve(linear_program(objective, constraints, bounds)).value
-
-
 def facet_minima(T: Dense, *, check_mirror: bool = False) -> tuple[Rational, ...]:
     """Each facet's exact minimum (sign +1 representative), by one LP per facet.
 
+    The variables are (x_1..x_N, s) with s = -t in [-U, 0], where
+    U = op_norm_sup(T).  For each row i the program has
+    (Tx)_i + s <= 0 and -(Tx)_i + s <= 0, that is |(Tx)_i| <= t, and it
+    minimizes -s, so the optimum is t itself.  U bounds every facet value,
+    so the box on s loses no optimum.  The objective, the rows and the box
+    are built once; facet k only fixes x_k = sigma.  Its corner x_j = -1
+    (j != k), x_k = sigma, s = -U satisfies every row, because
+    |(Tx)_i| <= sum_j |T_ij| <= U; the simplex starts there, with no
+    phase 1.
+
     The least entry is m(T).  ``check_mirror`` also solves every sign -1
-    facet and verifies it agrees, which is the oddness symmetry the
-    reduction to N programs relies on.
+    facet, right after its sign +1 facet, and verifies it agrees, which is
+    the oddness symmetry the reduction to N programs relies on.
     """
-    entries = T.entries
-    norm = op_norm_sup(T)
+    n = T.dim
+    objective = [_ZERO] * n + [-_ONE]
+    constraints = []
+    for row in T.entries:
+        constraints.append((list(row) + [_ONE], _ZERO))  # (Tx)_i <= t
+        constraints.append(([-e for e in row] + [_ONE], _ZERO))  # -(Tx)_i <= t
+    box = [(-_ONE, _ONE)] * n + [(-op_norm_sup(T), _ZERO)]
     values = []
-    for k in range(1, T.dim + 1):
-        value = _facet_minimum(entries, k, 1, norm)
-        if check_mirror:
-            mirror_value = _facet_minimum(entries, k, -1, norm)
-            if mirror_value != value:
-                raise RuntimeError(
-                    f"internal: facet {k} mirror asymmetry ({value} vs {mirror_value})"
-                )
+    for k in range(n):
+        value, *mirror = [
+            solve(linear_program(objective, constraints, box[:k] + [(sigma, sigma)] + box[k + 1:])).value
+            for sigma in ((_ONE, -_ONE) if check_mirror else (_ONE,))
+        ]
+        if mirror and mirror[0] != value:
+            raise RuntimeError(f"internal: facet {k + 1} mirror asymmetry ({value} vs {mirror[0]})")
         values.append(value)
     return tuple(values)
 
@@ -348,10 +341,12 @@ def brute_force_min(
 
     Each step bounds a batch of boxes with one radius and width, a facet's
     start box or the two halves of a split; each box either settles at
-    once or joins one heap of open boxes, ordered by bound.  The width is
-    w_i = sum_j |A_ij| r_j, a function of the radius, and the split depends on
-    (steer row, radius) alone, so one call plans it once per pair.  The
-    Lipschitz constant is read off the same integers: max_i sum_j |A_ij| / D.
+    once or joins one heap of open boxes, ordered by its exact integer
+    bound, with its width.  The width is w_i = sum_j |A_ij| r_j, and the
+    split depends on (steer row, radius) alone, so one call plans it, the
+    child width included, once per pair.  The Lipschitz constant is read off
+    the same integers, peak / D with peak = max_i sum_j |A_ij|; no box value
+    exceeds peak 2^L, so upper and lower start one above it.
     """
     step = as_rational(h)
     if step <= 0:
@@ -366,23 +361,21 @@ def brute_force_min(
     abs_columns = [[abs(a) for a in column] for column in columns]
     abs_rows = list(zip(*abs_columns))
     column_max = [max(column) for column in abs_columns]
-    lipschitz = Fraction(max(map(sum, abs_rows)), denominator)  # max_i sum_j |T_ij|
+    peak = max(map(sum, abs_rows))  # max_i sum_j |A_ij|
+    lipschitz = Fraction(peak, denominator)  # max_i sum_j |T_ij|
     p, q = step.numerator, step.denominator
     level = ((4 * q - 1) // p).bit_length()  # the smallest L with p 2^L >= 4q
     thin = (p << level) // (2 * q)
     den = denominator << level
 
-    upper = lower = inf  # integers over den once the first box is bounded
+    upper = lower = (peak << level) + 1  # above every box value, |A_i x| 2^L <= peak 2^L
     evaluations = 0
-    # heap entries: (float key for ordering only, tiebreak, exact bound, steer row, mid, radius);
-    # int / int is correctly rounded, so bnd / den is float(Fraction(bnd, den)) whatever L is
-    heap: list[tuple] = []
+    heap: list[tuple] = []  # (exact bound, tiebreak, steer row, mid, radius, width)
     plans: dict[tuple, tuple] = {}  # (steer, radius) -> (child radius, thin?, A[:, j] half, child width)
-    widths: dict[tuple, list] = {}  # radius -> width, since w_i = sum_j |A_ij| r_j
     for k in range(n):
         radius = (1 << level,) * k + (0,) + (1 << level,) * (n - k - 1)  # the facet x_{k+1} = +1
         thin_batch = max(radius) <= thin
-        width = widths[radius] = [(sum(row) - row[k]) << level for row in abs_rows]
+        width = [(sum(row) - row[k]) << level for row in abs_rows]
         mids = ([a << level for a in columns[k]],)  # centred at e_{k+1}
         while True:
             # a batch's boxes share radius and width, which are never mutated
@@ -401,11 +394,10 @@ def brute_force_min(
                     if bnd < lower:  # the box is retired
                         lower = bnd
                 else:  # evaluations counts up, so it breaks ties in the order boxes were queued
-                    entry = (bnd / den, evaluations, bnd, clearance.index(steer_clearance), mid, radius)
-                    heapq.heappush(heap, entry)
+                    heapq.heappush(heap, (bnd, evaluations, clearance.index(steer_clearance), mid, radius, width))
             if not heap:
                 break
-            _, _, bnd, steer, mid, radius = heapq.heappop(heap)
+            bnd, _, steer, mid, radius, width = heapq.heappop(heap)
             if bnd >= upper:  # the best point improved since this was queued
                 if bnd < lower:
                     lower = bnd
@@ -424,8 +416,8 @@ def brute_force_min(
                     j = radius.index(widest)
                 half = radius[j] >> 1
                 child = radius[:j] + (half,) + radius[j + 1:]
-                width = widths[child] = [w - a * half for w, a in zip(widths[radius], abs_columns[j])]
-                plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], width)
+                child_width = [w - a * half for w, a in zip(width, abs_columns[j])]
+                plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], child_width)
             radius, thin_batch, shift, width = plan
             mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
 

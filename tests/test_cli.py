@@ -31,6 +31,7 @@ from minmodlab.cli import (
 )
 from minmodlab.constructions import deflation_operator, deflation_repair
 from minmodlab.linops import materialize
+from minmodlab.lpsolve import LPResult
 
 
 def run_cli(capsys, *argv):
@@ -170,14 +171,31 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert err.startswith("error: m at N=2") and err.count("\n") == 1
     assert "Traceback" not in err
 
+    solve = minmodlab.minmod.solve
+
+    def raised(selected):
+        """``solve`` with the value 1/7 higher on the programs ``selected`` picks."""
+        def wrapper(lp):
+            result = solve(lp)
+            return LPResult(result.value + Fraction(1, 7), result.point) if selected(lp) else result
+
+        return wrapper
+
     # the facet LPs disagree with the inverse engine
-    facet_minimum = minmodlab.minmod._facet_minimum
     with monkeypatch.context() as patch:
-        patch.setattr(minmodlab.minmod, "_facet_minimum", lambda *args: facet_minimum(*args) + Fraction(1, 7))
+        patch.setattr(minmodlab.minmod, "solve", raised(lambda lp: True))
         code, out, err = run_cli(capsys, "minmod", "paper-t", "3")
     assert code == EXIT_CHECK_FAILED
     assert out == ""
     assert err == "error: facet LPs give 5/7 and 5/7 on facet 1, the inverse gives 4/7\n"
+
+    # a mirror facet, x_k fixed at -1, disagrees with its facet
+    with monkeypatch.context() as patch:
+        patch.setattr(minmodlab.minmod, "solve", raised(lambda lp: (-1, -1) in zip(lp.lower, lp.upper)))
+        code, out, err = run_cli(capsys, "minmod", "paper-t", "3", "--mirror-check")
+    assert code == EXIT_CHECK_FAILED
+    assert out == ""
+    assert err == "error: internal: facet 1 mirror asymmetry (4/7 vs 5/7)\n"
 
     def doubled(function):
         def wrapper(*args):
@@ -510,6 +528,7 @@ _HUGE = "1" + "0" * 50
     (("converge", "2", "22"), "gap", ["0.000000953676", "0.000000476838", "0.000000238419", "0.000000119209"]),
     (("minmod", "paper-k", "3"), "facet_value", ["0.000000000000", "0.250000000000", "0.000000000000"]),
     (("minmod", f"diagonal:{_HUGE}", "1"), "facet_value", [_HUGE + ".000000000000"]),
+    (("oracle", f"diagonal:{_HUGE}", "1", "1/4"), "value", [_HUGE + ".000000000000"] * 2),
 ])
 def test_approx_cells_are_fixed_point_at_any_magnitude(capsys, argv, column, last_cells):
     code, out, err = run_cli(capsys, *argv, "--approx")

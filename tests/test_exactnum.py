@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,33 @@ def test_as_rational_rejects_inexact_inputs():
         as_rational(True)
     with pytest.raises(TypeError):
         as_rational(None)
+
+
+def _float_uses(tree: ast.AST):
+    """(line, what) for each float literal, float(...) call, inf or nan name or attribute, and inf or nan import."""
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)  # of a Name or an Attribute
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float(...) call"
+        elif isinstance(node, (ast.Name, ast.Attribute)) and name in ("inf", "nan"):
+            yield node.lineno, f"name {name}"
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, f"import of {alias.name}") for alias in node.names if alias.name in ("inf", "nan"))
+
+
+def test_the_core_has_no_float():
+    # isinstance(value, float) stays allowed: as_rational names the type to refuse a float, and makes none
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(Path(minmodlab.__file__).parent.glob("*.py"))
+        for line, what in _float_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    assert sorted(_float_uses(ast.parse("from math import inf\nx = 0.5 + float(y) + math.nan"))) == [
+        (1, "import of inf"), (2, "float literal 0.5"), (2, "float(...) call"), (2, "name nan"),
+    ]
 
 
 def test_rational_wire_format():

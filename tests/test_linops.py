@@ -43,6 +43,8 @@ def test_rank_one_applies_in_terms_of_the_functional():
 def test_dense_must_be_square():
     with pytest.raises(ValueError):
         Dense(((Fraction(1), Fraction(2)),))
+    with pytest.raises(ValueError, match="^a dense operator needs at least one row$"):
+        Dense(())
 
 
 def test_dimension_discipline():
