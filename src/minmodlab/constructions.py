@@ -5,8 +5,10 @@ construction: a norm-one functional f with geometric coefficients and a
 vanishing first slot, the rank-one deflation T = I - e_1 (x) f it induces,
 the rank-one repair K = e_1 (x) f with T + K = I, and the flat vectors
 x = e_1 + (1/2) sum_{j>=2} e_j along which sup_norm(Tx) descends to its
-unattained infimum 1/2.  ``deflation(f)`` writes the deflation's integer
-rows for any f straight from f's ratios, so no ``Fraction`` matrix is built.
+unattained infimum 1/2.  ``deflation_factors(f)`` is the deflation's one
+encoding, the integers (U, G, e) with T = I + U (x) G / e read off f's
+ratios; ``deflation(f)`` writes its rows from them, so no ``Fraction``
+matrix is built, and the convergence study reads its sections off them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import Covector, Rational, Vector, basis_vector
-from .linops import Dense, RankOne, integer_row
+from .linops import Dense, RankOne, identity, integer_row, perturbed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,17 +45,19 @@ def shifted_geometric_functional(m: int) -> Covector:
     return Covector(tuple(Fraction(1, 2**j) for j in range(1, m + 1)))
 
 
+def deflation_factors(f: Covector) -> tuple:
+    """(U, G, e) with I - e_1 (x) f = I + U (x) G / e: U = e_1, G = -D f and e = D, the lcm of f's denominators."""
+    G, D = integer_row(f.coeffs)
+    return (1,) + (0,) * (len(G) - 1), tuple([-g for g in G]), D
+
+
 def deflation(f: Covector) -> Dense:
-    """I - e_1 (x) f on the section of f, as integer rows read off f's ratios alone.
+    """I - e_1 (x) f on the section of f, as ``perturbed`` writes it from ``deflation_factors(f)``.
 
     Row 1 is D (e_1 - f) over D, the lcm of f's denominators, which are
-    those of e_1 - f; rows 2..N are unit rows over 1.
+    those of e_1 - f; rows 2..N are the identity's unit rows over 1.
     """
-    G, D = integer_row(f.coeffs)
-    n = len(G)
-    zeros = (0,) * n
-    units = tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(1, n))
-    return Dense.of_rows(((D - G[0],) + tuple([-g for g in G[1:]]),) + units, (D,) + (1,) * (n - 1))
+    return perturbed(identity(len(f)), deflation_factors(f))
 
 
 def deflation_operator(n: int) -> Dense:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from . import minmod
-from .constructions import closed_form_min_modulus, deflation, geometric_functional
+from .constructions import closed_form_min_modulus, deflation_factors, geometric_functional
 from .exactnum import (
     Covector,
     Rational,
@@ -98,15 +98,16 @@ def convergence_study(
     """Exact m(T) per section against the closed form 1/(2 - 2^(1-N)).
 
     T = I - e_1 (x) f for the geometric f, as in ``deflation_operator(N)``,
-    is read as the leading N-section of the integer rows ``deflation``
-    writes at the largest N studied, straight from f, with no ``Fraction``
-    matrix and no ``Fraction`` arithmetic.  Each section's inverse comes off
-    one elimination of those rows, certified per section, and read by the
-    integer reader as (|d|, R, z), m(T) = |d|/R with witness z/R.  Every row
-    checks that m(T) equals the closed form p/q exactly, as |d| q = R p, and
-    the non-attainment shape of the witness, in integers: |x_1| = 1 (|z_1| = R)
-    while every tail modulus stays strictly inside (1/2, 1) (R < 2 |z_j| and
-    |z_j| < R), the tension that prevents a limiting minimizer from existing.
+    is I + U (x) G / e, with the integers ``deflation_factors`` reads off f at
+    the largest N studied, so no ``Fraction`` matrix is built and no
+    ``Fraction`` arithmetic done.  ``minmod._rank_one_sections`` reads each
+    leading section off its rank-one capacitance c as (|c|, R, z),
+    m(T) = |c|/R with witness z/R, in O(N) integer steps with no elimination,
+    and re-verifies the witness.  Every row checks that m(T) equals the
+    closed form p/q exactly, as |c| q = R p, and the non-attainment shape of
+    the witness, in integers: |x_1| = 1 (|z_1| = R) while every tail modulus
+    stays strictly inside (1/2, 1) (R < 2 |z_j| and |z_j| < R), the tension
+    that prevents a limiting minimizer from existing.
     The gap m(T) - 1/2 = 1/(2(2^N - 1)) then lies in (0, 2^-N] and strictly
     decreases in N, so it needs no check of its own.  Violations raise
     :class:`InvariantViolation` rather than producing a quiet bad row.
@@ -122,20 +123,18 @@ def convergence_study(
     limit = min(n_max, lp_dimension_budget)
     rows, sections = [], ()
     if limit >= n_min:  # every section studied leads the largest
-        T = deflation(geometric_functional(limit))
-        sections = minmod._leading_inverses(T.rows, T.denominators, n_min)
-    for n, *section in sections:  # T's leading n-section, one elimination
-        d, norm, z = minmod._read_inverse(*section)
+        sections = minmod._rank_one_sections(deflation_factors(geometric_functional(limit)), n_min)
+    for n, c, norm, z in sections:  # T's leading n-section, read off its capacitance
         expected = closed_form_min_modulus(n)
-        if d * expected.denominator != norm * expected.numerator:
-            raise InvariantViolation(f"m at N={n} is {Fraction(d, norm)}, closed form {expected}")
+        if c * expected.denominator != norm * expected.numerator:
+            raise InvariantViolation(f"m at N={n} is {Fraction(c, norm)}, closed form {expected}")
         if abs(z[0]) != norm:  # the witness is z/R with R = norm
             raise InvariantViolation(f"minimizer at N={n} has |x_1| = {Fraction(abs(z[0]), norm)} != 1")
-        tail = [abs(c) for c in z[1:]]
+        tail = [abs(x) for x in z[1:]]
         tail_min, tail_max = min(tail), max(tail)
         if not (norm < 2 * tail_min and tail_max < norm):
             raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
-        gap = Fraction(2 * d - norm, 2 * norm)  # m(T) - 1/2 in one step
+        gap = Fraction(2 * c - norm, 2 * norm)  # m(T) - 1/2 in one step
         rows.append(ConvergenceRow(n, expected, expected, Fraction(tail_min, norm), Fraction(tail_max, norm), gap))
     return ConvergenceReport(
         rows=tuple(rows), n_min=n_min, n_max=n_max, partial=limit < n_max

@@ -4,8 +4,7 @@
 S = T^-1, x = Sy gives ||Tx|| / ||x|| = ||y|| / ||Sy||, so m(T) = 1/||S||,
 the reciprocal of S's largest row l1 sum; a singular T has m(T) = 0 with
 a kernel vector as witness.  One fraction-free elimination, in place on N
-columns, gives S = M/d in integers, and on the way each leading section's
-inverse for ``_leading_inverses``; A M = d diag(D), summed in C over A's
+columns, gives S = M/d in integers; A M = d diag(D), summed in C over A's
 nonzeros and, on a row with one nonzero, checked by one product and a count
 of zeros, proves the lower bound and the re-verified witness the upper one.
 The inverse, the search and the oracle read T's integer rows
@@ -13,6 +12,9 @@ A_i = D_i T_i, the two fields of ``Dense``, as they are; the facet LPs read
 ``T.entries``.  ``_rank_one_update`` turns M/d into
 (T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once, and
 reuses MU and GM across proposals that share a factor.
+``_rank_one_sections`` reads every leading section of I + U (x) G / e off
+its 1 x 1 capacitance c = e + G U, since (c I - U (x) G) / c is the
+section's inverse: O(N) integer steps a section, and no elimination.
 
 ``facet_minima`` is the facet view, for per-facet reports.  The sphere
 is the union of 2N box facets {x : x_k = sigma, |x_j| <= 1}; on one
@@ -75,28 +77,28 @@ class MinModResult(Record):
     facet: tuple[int, int]
 
 
-def _eliminate(rows: list, swaps: list):
-    """Yield (a, p) after each column c of Bareiss on [A | I], in place on N columns, recording row swaps.
+def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
+    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
 
-    With p the pivot of column c (its first nonzero at or below the diagonal,
-    swapped up) and prev the one before, every other row becomes
-    (p a_r - a_rc a_c) / prev, an exact division.  The left block's settled
-    columns are p I, which no later step reads, and the right block's columns
-    past c are still prev I, so column c of the one array holds A's column
-    until step c and the right block's column c after it: -a_rc, with prev in
-    the pivot row.  With no swap, rows 0..c meet only pivot rows 0..c, so
-    their first c + 1 entries are p A_{c+1}^-1 with p = det A_{c+1}.  With no
-    pivot in column c, the columns before it are prev e_r, so the last yield
-    is the kernel vector (-a_rc for r < c, prev, 0, ...) with p = 0.
+    Bareiss on [A | I], in place on N columns: with p the pivot of column c
+    (its first nonzero at or below the diagonal, swapped up) and prev the one
+    before, every other row becomes (p a_r - a_rc a_c) / prev, an exact
+    division.  The left block's settled columns are p I, which no later step
+    reads, and the right block's columns past c are still prev I, so column c
+    of the one array holds A's column until step c and the right block's
+    column c after it: -a_rc, with prev in the pivot row.  With no pivot in
+    column c, the columns before it are prev e_r, so (-a_rc for r < c, prev,
+    0, ...) is a kernel vector.  Otherwise the loop leaves A R = p I for the
+    right block R, whose columns come back in order once the row swaps are
+    undone as column swaps in reverse; T^-1 = R diag(D) / p.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    prev = 1
+    swaps, prev = [], 1
     for c in range(n):
         pivot = next((r for r in range(c, n) if a[r][c]), None)
         if pivot is None:
-            yield [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
-            return
+            return [-a[r][c] for r in range(c)] + [prev] + [0] * (n - c - 1), 0
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             swaps.append((c, pivot))
@@ -108,25 +110,12 @@ def _eliminate(rows: list, swaps: list):
                 a[r][c] = -f
         a[c][c] = prev
         prev = p
-        yield a, p
-
-
-def _fraction_free_inverse(rows: list, denominators: list) -> tuple[list, int]:
-    """(M, d) with T^-1 = M/d and d > 0, or (a, 0) with a an integer kernel vector of T = A/D.
-
-    ``_eliminate`` leaves A R = p I for the right block R, whose columns come back in
-    order once the row swaps are undone as column swaps in reverse; T^-1 = R diag(D) / p.
-    """
-    swaps = []
-    *_, (a, p) = _eliminate(rows, swaps)
-    if not p:
-        return a, 0
     for c, pivot in reversed(swaps):  # R = R' P for the right block R' of the swapped rows P A
         for row in a:
             row[c], row[pivot] = row[pivot], row[c]
-    sign = 1 if p > 0 else -1
+    sign = 1 if prev > 0 else -1
     scale = [sign * D for D in denominators]  # M = R diag(D) sign(p), one C loop per row
-    return [list(map(operator.mul, row, scale)) for row in a], sign * p
+    return [list(map(operator.mul, row, scale)) for row in a], sign * prev
 
 
 def _certify(inverse: list, d: int, rows: list, denominators: list) -> None:
@@ -164,23 +153,48 @@ def _certified_rows(rows: tuple, denominators: tuple) -> tuple[list, int, tuple]
     return inverse, d, (rows, denominators)
 
 
-def _leading_inverses(rows: tuple, denominators: tuple, n_min: int):
-    """Yield (n, M, d, (A_n, D_n)), T_n^-1 = M/d with d > 0, for the leading n-sections of T = A/D from n_min up.
+def _rank_one_sections(rank_one: tuple, n_min: int):
+    """Yield (n, |c|, R, z), m = |c|/R with witness z/R, for the leading n-sections of I + U (x) G / e from n_min up.
 
-    One ``_eliminate`` of T's integer rows A serves every section: after column n, with no swap,
-    its leading n x n block is p A_n^-1 with p = det A_n, so M is that block times diag(D_n) sign(p).
-    That needs nonzero leading minors, as a unit upper triangular T has.
+    On a section, u = U[:n] and g = G[:n] have the 1 x 1 capacitance
+    c = e + g u, and Sherman-Morrison's M = c I - u (x) g has
+    T M = c I + u (x) g (c - e - g u) / e = c I, so T^-1 = M/c and
+    m >= |c|/R for R, M's largest row l1 sum, with no N x N array formed.
+    Row i sums to |c - u_i g_i| + |u_i| (||g||_1 - |g_i|), and a row with
+    u_i = 0 is c e_i, with sum |c|, so R costs one term per touched row.
+    The witness follows ``_read_inverse``: y is the sign pattern of the first
+    maximal row, zeros taking sign(c), and z = M y = c y - u (g y); each
+    section proves m <= |c|/R by T z = c y, as e z + u (g z) = e c y.
     """
-    swaps = []
-    for n, (a, p) in enumerate(_eliminate(rows, swaps), 1):
-        if swaps or not p:
+    U, G, e = rank_one
+    c, g_norm, touched, untouched = e, 0, [], None  # untouched: the first row with u_i = 0
+    for n, (ui, gi) in enumerate(zip(U, G), 1):
+        c += ui * gi
+        g_norm += abs(gi)
+        if ui:
+            touched.append(n - 1)
+        elif untouched is None:
+            untouched = n - 1
+        if n < n_min:
+            continue
+        if not c:
             raise RuntimeError(f"internal: the leading {n}-section is singular")
-        if n >= n_min:  # certified before it is yielded
-            base = [r[:n] for r in rows[:n]], denominators[:n]
-            scale = [D if p > 0 else -D for D in base[1]]
-            inverse = [list(map(operator.mul, row[:n], scale)) for row in a[:n]]
-            _certify(inverse, abs(p), *base)
-            yield n, inverse, abs(p), base
+        # (-row sum, row) of every touched row and the first untouched one: the least is the first maximal row
+        sums = [(-abs(c - U[k] * G[k]) - abs(U[k]) * (g_norm - abs(G[k])), k) for k in touched]
+        if untouched is not None:
+            sums.append((-abs(c), untouched))
+        least, star = min(sums)
+        u, g = U[:n], G[:n]
+        row = [-u[star] * x for x in g]
+        row[star] += c
+        sign = 1 if c > 0 else -1
+        y = [sign if m * c >= 0 else -sign for m in row]
+        gy = sum(map(operator.mul, g, y))
+        z = [c * s - a * gy for s, a in zip(y, u)]
+        gz = sum(map(operator.mul, g, z))
+        if [e * x + a * gz for x, a in zip(z, u)] != [e * c * s for s in y]:
+            raise RuntimeError("internal: minimum-modulus witness failed re-verification")
+        yield n, abs(c), -least, z
 
 
 def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict) -> tuple[list, int]:

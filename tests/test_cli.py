@@ -259,6 +259,16 @@ def test_value_only_reports_are_frozen(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _FROZEN_STDOUT[argv]
 
 
+def test_the_paper_scale_ladder_is_frozen(capsys):
+    # 255 sections up to N = 256, read off their rank-one capacitances; this digest was taken when
+    # every section came off a full elimination of the deflation's integer rows
+    code, out, err = run_cli(capsys, "converge", "2", "256", "--lp-budget", "256")
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a3f081178778548c176e1036e3c13597efe5a649ff365e18e66eea73956a92b5"
+    )
+
+
 # --- matrix files --------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from minmodlab.constructions import (
     c0_family,
     closed_form_min_modulus,
     deflation,
+    deflation_factors,
     deflation_operator,
     deflation_repair,
     direct_sum_operator,
@@ -193,6 +194,8 @@ def test_deflation_rows_of_the_geometric_functional():
         _check_deflation_rows(geometric_functional(n))
     t = deflation(geometric_functional(3))
     assert (t.rows, t.denominators) == (((4, -2, -1), (0, 1, 0), (0, 0, 1)), (4, 1, 1))
+    # the one encoding both read: I - e_1 (x) f = I + U (x) G / e with U = e_1, G = -D f and e = D
+    assert deflation_factors(geometric_functional(3)) == ((1, 0, 0), (0, -2, -1), 4)
 
 
 _T_VALUES = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(2))

@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 import minmodlab.constructions
 import minmodlab.harness
 from minmodlab import minmod
-from minmodlab.constructions import closed_form_min_modulus, deflation_operator, deflation_repair, minimizing_vector
+from minmodlab.constructions import (
+    closed_form_min_modulus,
+    deflation_factors,
+    deflation_operator,
+    deflation_repair,
+    geometric_functional,
+    minimizing_vector,
+)
 from minmodlab.exactnum import Covector, Vector, basis_vector
 from minmodlab.harness import (
     ConvergenceRow,
@@ -82,19 +89,21 @@ def test_convergence_builds_no_family(monkeypatch):
 
 
 def test_convergence_rejects_a_minimizer_of_the_wrong_shape(monkeypatch):
-    # the reader's (|d|, R, z) at N=3 is (4, 7, [7, 4, 4]); scaled by 4, each bent value is an integer
-    # over R = 28: the value is right but |x_1| != 1 or a tail modulus leaves (1/2, 1), or |d| is wrong
-    d, norm, z = minmod._read_inverse(*certified_inverse(deflation_operator(3)))
-    assert (d, norm, z) == (4, 7, [7, 4, 4])
-    d, norm, z = 4 * d, 4 * norm, [4 * c for c in z]
+    # the reader's (|c|, R, z) at N=3 is (4, 7, [7, 4, 4]), as the dense reader's (|d|, R, z); scaled by 4,
+    # each bent value is an integer over R = 28: the value is right but |x_1| != 1 or a tail modulus
+    # leaves (1/2, 1), or |c| is wrong
+    section = (3, 4, 7, [7, 4, 4])
+    assert list(minmod._rank_one_sections(deflation_factors(geometric_functional(3)), 3)) == [section]
+    assert minmod._read_inverse(*certified_inverse(deflation_operator(3))) == section[1:]
+    c, norm, z = 16, 28, [28, 16, 16]
     bent = [
-        ((d, norm, [21, *z[1:]]), r"\|x_1\| = 3/4"),
-        ((d, norm, [z[0], 14, z[2]]), r"escapes \(1/2, 1\)"),
-        ((d, norm, [*z[:2], -28]), r"escapes \(1/2, 1\)"),
-        ((d + 4, norm, z), r"m at N=3 is 5/7, closed form 4/7"),
+        ((c, norm, [21, *z[1:]]), r"\|x_1\| = 3/4"),
+        ((c, norm, [z[0], 14, z[2]]), r"escapes \(1/2, 1\)"),
+        ((c, norm, [*z[:2], -28]), r"escapes \(1/2, 1\)"),
+        ((c + 4, norm, z), r"m at N=3 is 5/7, closed form 4/7"),
     ]
     for fake, message in bent:
-        monkeypatch.setattr(minmod, "_read_inverse", lambda *args, fake=fake: fake)
+        monkeypatch.setattr(minmod, "_rank_one_sections", lambda rank_one, n_min, fake=fake: iter([(n_min, *fake)]))
         with pytest.raises(InvariantViolation, match=message):
             convergence_study(3, 3)
 
@@ -113,29 +122,25 @@ def _counted(monkeypatch, module, name: str) -> list:
 
 
 def test_convergence_builds_one_operator_and_certifies_every_section(monkeypatch):
-    builds = _counted(monkeypatch, minmodlab.harness, "deflation")
-    ladders = _counted(monkeypatch, minmod, "_leading_inverses")
+    builds = _counted(monkeypatch, minmodlab.harness, "deflation_factors")
+    ladders = _counted(monkeypatch, minmod, "_rank_one_sections")
     certificates = _counted(monkeypatch, minmod, "_certify")
     eliminations = _counted(monkeypatch, minmod, "_fraction_free_inverse")
-    kernels = _counted(monkeypatch, minmod, "_eliminate")
-    readings = _counted(monkeypatch, minmod, "_read_inverse")
-    sweeps = _counted(monkeypatch, minmodlab.harness, "min_modulus_sup")
+    sweeps = _counted(monkeypatch, minmod, "min_modulus_sup")
+    harness_sweeps = _counted(monkeypatch, minmodlab.harness, "min_modulus_sup")
     report = convergence_study(2, 12)
     assert [r.n for r in report.rows] == list(range(2, 13))
     assert [len(f) for f, in builds] == [12]
-    assert [(len(rows), n_min) for rows, _, n_min in ladders] == [(12, 2)]
-    # one elimination of T's integer rows for the whole ladder, and no full inverse or sweep; each
-    # section read off it is certified and its witness re-verified on its own N
-    assert [len(rows) for rows, _ in kernels] == [12]
-    assert [len(rows) for _, _, rows, _ in certificates] == list(range(2, 13))
-    assert [len(inverse) for inverse, *_ in readings] == list(range(2, 13))
-    assert eliminations == sweeps == []
+    # one reader pass over T = I + U (x) G / e for the whole ladder: every section is read off its
+    # capacitance, its witness re-verified on its own N, with no elimination, certificate or sweep
+    assert [(len(U), len(G), n_min) for (U, G, _), n_min in ladders] == [(12, 12, 2)]
+    assert eliminations == certificates == sweeps == harness_sweeps == []
 
     builds.clear()
-    certificates.clear()
+    ladders.clear()
     report = convergence_study(5, 9, lp_dimension_budget=3)
     assert (report.rows, report.partial) == ((), True)
-    assert builds == certificates == []
+    assert builds == ladders == []
 
 
 def test_convergence_report_is_frozen_past_the_default_cap():

@@ -8,21 +8,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minmodlab.lpsolve
 import minmodlab.minmod
 from minmodlab.constructions import (
     closed_form_min_modulus,
-    deflation,
+    deflation_factors,
     deflation_operator,
     deflation_repair,
     direct_sum_operator,
+    geometric_functional,
     shifted_geometric_functional,
 )
 from minmodlab.exactnum import Covector, Vector, basis_vector, sup_norm
-from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup
+from minmodlab.linops import Dense, diagonal, identity, materialize, op_norm_sup, perturbed
 from minmodlab.minmod import (
     BudgetExceededError,
     brute_force_min,
@@ -290,72 +291,98 @@ def test_certificate_that_skips_the_zeros_of_a_stays_sound(monkeypatch):
     assert certify(singular, ([-2, 1, 1], 0))[:2] == ([-2, 1, 1], 0)  # still in the kernel
 
 
+_sections = minmodlab.minmod._rank_one_sections
+
+
 def test_elimination_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     # the integer rows are read off numerators and denominators, and from
-    # there on the elimination and its certificate work in integers alone
+    # there on the elimination, its certificate and the rank-one reader work in integers alone
     negative = diagonal([-1, 2, 3])  # its pivot product is -6, so the scaling folds in sign = -1
     cases = [deflation_operator(9), _DENSE, _SINGULAR, diagonal([0] * 2), negative]
     expected = [certified_inverse(op) for op in cases]
-    ladder = list(minmodlab.minmod._leading_inverses(cases[0].rows, cases[0].denominators, 1))
+    # the paper's deflation, and one with f_1 = 3, whose capacitance D (1 - f_1) is negative
+    factors = [deflation_factors(f) for f in (geometric_functional(9), Covector([3, Fraction(-1, 2), Fraction(2, 3)]))]
+    ladders = [list(_sections(rank_one, 1)) for rank_one in factors]
+    assert [c for _, c, _, _ in ladders[1]] == [12, 12, 12]  # |c| for c = 6 (1 - 3)
     with monkeypatch.context() as patch:
         forbid_fraction_arithmetic(patch)
         assert [certified_inverse(op) for op in cases] == expected
-        assert list(minmodlab.minmod._leading_inverses(cases[0].rows, cases[0].denominators, 1)) == ladder
+        assert [list(_sections(rank_one, 1)) for rank_one in factors] == ladders
     inverse, d = _eliminate(negative)
     assert d > 0
     assert Dense(tuple(tuple(Fraction(m, d) for m in row) for row in inverse)) == solve_inverse(negative)
 
 
-_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
 @st.composite
-def _sections(draw):
-    # a dense rational T, or a deflation I - e_1 (x) f with f(e_1) = 0, whose leading minors are all 1,
-    # and the first section to yield
-    n = draw(st.integers(1, 7))
-    if draw(st.booleans()):
-        t = deflation(Covector([0, *draw(st.lists(_ENTRY, min_size=n - 1, max_size=n - 1))]))
+def _rank_one_factors(draw):
+    # integers (U, G, e) for T = I + U (x) G / e with N = 1..8: U with zeros before its touched rows,
+    # U touching every row, or any U; the capacitance e + G U takes both signs and is sometimes 0
+    n = draw(st.integers(1, 8))
+    nonzero = st.integers(-3, 3).filter(bool)
+    shape = draw(st.sampled_from(("zeros first", "every row", "any")))
+    if shape == "zeros first":
+        k = draw(st.integers(1, n))
+        U = [0] * (k - 1) + draw(st.lists(st.integers(-3, 3), min_size=n - k + 1, max_size=n - k + 1))
+    elif shape == "every row":
+        U = draw(st.lists(nonzero, min_size=n, max_size=n))
     else:
-        t = Dense([draw(st.lists(_ENTRY, min_size=n, max_size=n)) for _ in range(n)])
-    return t, draw(st.integers(1, n))
+        U = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    G = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return (tuple(U), tuple(G), draw(st.integers(1, 6))), draw(st.integers(1, n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_sections())
+@settings(max_examples=300, deadline=None)
+@given(_rank_one_factors())
 def test_leading_sections_match_the_elimination(case):
-    t, n_min = case
-    entries, n = t.entries, t.dim
-    assume(all(_det([row[:k] for row in entries[:k]]) for k in range(1, n + 1)))
-    sections = list(minmodlab.minmod._leading_inverses(t.rows, t.denominators, n_min))
-    assert [k for k, *_ in sections] == list(range(n_min, n + 1))
-    whole, denominators = sections[-1][3]
-    for k, inverse, d, base in sections:
-        block = [list(row[:k]) for row in entries[:k]]
-        expected, e, _ = certified_inverse(Dense(block))
-        assert d > 0
-        assert [[Fraction(m, d) for m in row] for row in inverse] == [[Fraction(m, e) for m in row] for row in expected]
-        # A_k is the leading block of one integer matrix, each row over its whole row's denominator
-        assert base == ([row[:k] for row in whole[:k]], denominators[:k])
-        assert [[Fraction(a, D) for a in row] for row, D in zip(*base)] == block
+    # every section the reader yields is min_modulus_sup of the section built and eliminated in full:
+    # value, witness and facet; a singular section is refused, and the dense engine gives it 0
+    (U, G, e), n_min = case
+    sections = _sections((U, G, e), n_min)
+    for n in range(n_min, len(U) + 1):
+        dense = min_modulus_sup(perturbed(identity(n), (U[:n], G[:n], e)))
+        if not e + sum(u * g for u, g in zip(U[:n], G[:n])):
+            assert dense.value == 0
+            with pytest.raises(RuntimeError, match=f"internal: the leading {n}-section is singular"):
+                next(sections)
+            return
+        k, c, norm, z = next(sections)
+        assert k == n
+        assert (Fraction(c, norm), Vector(Fraction(x, norm) for x in z), (z.index(norm) + 1, 1)) == (
+            dense.value, dense.witness, dense.facet,
+        )
+    assert next(sections, None) is None
+
+
+def test_rank_one_sections_break_ties_toward_the_first_row():
+    # c = 5 and rows (5, 0) and (-4, 1) of M = c I - u (x) g both sum to 5; row 1, untouched, comes first,
+    # so y = (1, 1) and z = (5, -3), as the dense engine reads it
+    rank_one = ((0, -2), (-2, -2), 1)
+    assert list(_sections(rank_one, 2)) == [(2, 5, 5, [5, -3])]
+    dense = min_modulus_sup(perturbed(identity(2), rank_one))
+    assert (dense.value, dense.witness, dense.facet) == (1, Vector((1, Fraction(-3, 5))), (1, 1))
+
+
+def test_rank_one_sections_reverify_every_witness():
+    # c is summed section by section, so a factor changed after its section is read forges the
+    # capacitance of every later one: M = c I - u (x) g is then no multiple of T^-1, and T z = c y fails
+    U, G = [1, 1, 0], [2, 1, 3]
+    sections = _sections((U, G, 1), 1)
+    assert next(sections) == (1, 3, 1, [1])  # T = 3 and M = c - u g = 1
+    G[0] = 4
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        next(sections)
 
 
 def test_leading_sections_refuse_a_zero_leading_minor():
-    leading = minmodlab.minmod._leading_inverses
-    swap = Dense([[0, 1], [1, 0]])  # invertible, but its 1-section is 0
-    with pytest.raises(RuntimeError, match="internal: the leading 1-section is singular"):
-        list(leading(swap.rows, swap.denominators, 2))
-    singular = Dense([[1, 2], [2, 4]])
-    sections = leading(singular.rows, singular.denominators, 1)
-    assert next(sections)[:3] == (1, [[1]], 1)
+    # T = I + (1, 1) (x) (0, -1): its 1-section is 1, and its 2-section has capacitance 1 + 0 - 1 = 0
+    singular = ((1, 1), (0, -1), 1)
+    sections = _sections(singular, 1)
+    assert next(sections) == (1, 1, 1, [1])
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
         next(sections)
-    # invertible (det -1), but its 2-section is singular with a nonzero below it, so the elimination swaps
-    mid_swap = Dense([[1, 1, 0], [1, 1, 1], [0, 1, 0]])
-    sections = leading(mid_swap.rows, mid_swap.denominators, 1)
-    assert next(sections)[:3] == (1, [[1]], 1)
+    assert min_modulus_sup(perturbed(identity(2), singular)).value == 0
     with pytest.raises(RuntimeError, match="internal: the leading 2-section is singular"):
-        next(sections)
+        list(_sections(singular, 2))
 
 
 def test_certify_rejects_forged_inverses():
@@ -363,7 +390,7 @@ def test_certify_rejects_forged_inverses():
     assert [sum(map(bool, row)) == 1 for row in deflation_operator(8).rows] == [False] + [True] * 7
     # a dense section, and a deflation's: its unit rows c e_k are proved by c M_ki = d D_i and M_k's zeros alone
     for t in (_DENSE, deflation_operator(8)):
-        *_, (n, inverse, d, (rows, denominators)) = minmodlab.minmod._leading_inverses(t.rows, t.denominators, 1)
+        n, (inverse, d, (rows, denominators)) = t.dim, certified_inverse(t)
         certify(inverse, d, rows, denominators)
         forgeries = [(inverse, 2 * d), ([[0] * n for _ in range(n)], d), ([0] * n, 0)]
         for i, j in itertools.product(range(n), range(n)):
