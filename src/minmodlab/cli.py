@@ -31,11 +31,9 @@ from typing import Optional, Sequence
 from .constructions import (
     c0_family,
     closed_form_min_modulus,
-    deflation,
     deflation_operator,
     deflation_repair,
     direct_sum_operator,
-    geometric_functional,
     minimizing_vector,
     shifted_geometric_functional,
 )
@@ -59,7 +57,7 @@ from .harness import (
     rank_one_search,
     weak_null_test,
 )
-from .linops import Dense, RankOne, add, diagonal, identity, materialize
+from .linops import Dense, add, diagonal, identity, materialize
 from .minmod import ORACLE_POINT_BUDGET, BudgetExceededError, brute_force_min, facet_minima, min_modulus_sup
 
 EXIT_OK = 0
@@ -80,7 +78,7 @@ class MatrixFormatError(ValueError):
 def read_dense_operator(path: str | Path) -> Dense:
     """Parse the documented plain-text format into a dense operator."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a byte-order mark may lead
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -145,17 +143,10 @@ def build_operator(spec: str, n: int) -> Dense:
 # the fixed regression suite
 
 
-def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tuple[Report, bool]:
-    """The full exact regression over sections 2..n_max.
-
-    Returns the per-check report and the overall verdict.  ``inject_fault``
-    deliberately corrupts an ingredient so the checker's failure path stays
-    tested: 'corrupt-f' bends one functional coefficient.
-    """
+def run_paper_check(n_max: int) -> tuple[Report, bool]:
+    """The exact regression of T = deflation_operator(n), K = deflation_repair(n), n = 2..n_max, and its verdict."""
     if n_max < 2:
         raise UsageError("the regression needs n_max >= 2")
-    if inject_fault not in (None, "corrupt-f"):
-        raise UsageError(f"unknown fault {inject_fault!r} (available: corrupt-f)")
 
     checks: list[tuple[str, bool, str, str]] = []
 
@@ -164,12 +155,8 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
 
     witnesses: list[Vector] = []
     for n in range(2, n_max + 1):
-        functional = geometric_functional(n)
-        if inject_fault == "corrupt-f":
-            # fault injection for testing the checker itself: break one coefficient
-            functional = functional.replace_coeff(2, Fraction(1, 3))
-        operator = deflation(functional)
-        repair = RankOne(basis_vector(1, n), functional)
+        operator, repair = deflation_operator(n), deflation_repair(n)
+        functional = repair.functional
 
         record(
             f"functional-dual-norm[{n}]",
@@ -233,7 +220,7 @@ def run_paper_check(n_max: int = 10, inject_fault: Optional[str] = None) -> tupl
 
 
 def _cmd_paper_check(args):
-    report, ok = run_paper_check(args.n_max, args.inject_fault)
+    report, ok = run_paper_check(args.n_max)
     if ok:
         return report, EXIT_OK, None
     failed = [row[0] for row in report.rows if row[1] == "fail"]
@@ -338,7 +325,6 @@ _ECHOED = (
     "search_budget",
     "iterations",
     "seed",
-    "inject_fault",
 )
 
 
@@ -374,7 +360,6 @@ _SPEC_HELP = "paper-t | paper-k | identity | diagonal:a,b,... | direct-sum | mat
 _COMMANDS = (
     ("paper-check", "run the fixed exact regression suite", _cmd_paper_check, (
         ("--n-max", dict(type=int, default=10)),
-        ("--inject-fault", dict(default=None, help="test mode: corrupt an ingredient (corrupt-f)")),
     )),
     ("minmod", "exact minimum modulus of an operator", _cmd_minmod, (
         ("operator_spec", dict(metavar="spec", help=_SPEC_HELP)),

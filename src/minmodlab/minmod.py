@@ -413,8 +413,8 @@ def brute_force_min(
                 break
             bnd, _, steer, mid, radius, width = heapq.heappop(heap)
             if bnd >= upper:  # the best point improved since this was queued
-                if bnd < lower:
-                    lower = bnd
+                # nothing to retire: every box holding the centre that set upper has a bound below
+                # upper or is retired, and the heap pops its least bound first, so lower <= upper <= bnd
                 mids = ()
                 continue
             plan = plans.get((steer, radius))

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import minmodlab
+import minmodlab.constructions
 import minmodlab.harness
 import minmodlab.minmod
 from minmodlab.cli import (
@@ -52,13 +53,17 @@ def test_paper_check_passes_and_reports_every_section(capsys):
     assert err == ""
 
 
-def test_paper_check_fault_injection_fails_loudly(capsys):
-    # the whole failing report is pinned, so the fault path checks T = deflation(f) for a bent f
-    code, out, err = run_cli(capsys, "paper-check", "--inject-fault", "corrupt-f")
+def test_paper_check_fault_injection_fails_loudly(capsys, monkeypatch):
+    # bend one coefficient of f, so T and K are built from the bent f; the whole failing report is pinned
+    geometric = minmodlab.constructions.geometric_functional
+    monkeypatch.setattr(
+        minmodlab.constructions, "geometric_functional", lambda n: geometric(n).replace_coeff(2, Fraction(1, 3))
+    )
+    code, out, err = run_cli(capsys, "paper-check")
     assert code == EXIT_CHECK_FAILED
     assert "# result=fail" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "5c88ba3e99be1c57a3d26d1457b11f074258e0141dda95710b67d8b56168eda6"
+        "b1a1571651324a1c6bd508032e333b92c0d59c613eedd75db9564f82f890d7fb"
     )
     assert err == (
         "paper-check: 27 check(s) failed: functional-dual-norm[2], min-modulus-closed-form[2], "
@@ -67,9 +72,10 @@ def test_paper_check_fault_injection_fails_loudly(capsys):
 
 
 def test_paper_check_rejects_unknown_faults(capsys):
-    code, _, err = run_cli(capsys, "paper-check", "--inject-fault", "corrupt-everything")
-    assert code == EXIT_USAGE
-    assert "unknown fault" in err
+    # fault injection lives in the tests; the command has no such option
+    code, out, err = run_cli(capsys, "paper-check", "--inject-fault", "corrupt-f")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --inject-fault corrupt-f" in err and "Traceback" not in err
 
 
 def test_paper_check_needs_a_real_range(capsys):
@@ -285,6 +291,21 @@ def test_matrix_file_round_trip(tmp_path, capsys):
     assert "# value=4/7" in out
 
 
+def test_matrix_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "t3.mat"
+    path.write_text(_T3_MATRIX_FILE, encoding="utf-8")
+    plain = run_cli(capsys, "minmod", str(path), "3")
+    path.write_text(_T3_MATRIX_FILE, encoding="utf-8-sig")  # "UTF-8 with BOM"
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli(capsys, "minmod", str(path), "3") == plain
+    assert plain[0] == EXIT_OK
+
+    # a bad byte after the mark is still reported at its offset in the file
+    path.write_bytes(b"\xef\xbb\xbf3\n\xff")
+    code, out, err = run_cli(capsys, "minmod", str(path), "3")
+    assert (code, out, err) == (EXIT_IO, "", f"error: {path}: not UTF-8 text (invalid start byte at byte 5)\n")
+
+
 def test_matrix_file_dimension_mismatch(tmp_path, capsys):
     path = tmp_path / "t3.mat"
     path.write_text(_T3_MATRIX_FILE, encoding="utf-8")
@@ -312,6 +333,7 @@ def test_malformed_matrix_file(tmp_path, capsys):
     # each malformed file is one error line that names the file, and the row of a bad row
     cases = [("", "empty matrix file"), ("\n  \n\t\n", "empty matrix file"),
              ("two\n1 0\n0 1\n", "first line must be the dimension"),
+             ("0\n", "dimension must be >= 1, got 0"), ("-2\n1 0\n0 1\n", "dimension must be >= 1, got -2"),
              ("2\n1 0\n0 1 0\n", "row 2 has 3 entries, expected 2")]
     for text, message in cases:
         path.write_text(text, encoding="utf-8")
