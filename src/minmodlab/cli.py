@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -85,7 +86,9 @@ def read_dense_operator(path: str | Path) -> Dense:
     if not lines:
         raise MatrixFormatError(f"{path}: empty matrix file")
     try:
-        n = int(lines[0])
+        if not re.fullmatch("[+-]?[0-9]+", lines[0]):  # int() alone also reads 0_2 and non-ASCII digits
+            raise ValueError
+        n = int(lines[0])  # raises past the interpreter's digit limit, too
     except ValueError:
         raise MatrixFormatError(f"{path}: first line must be the dimension, got {lines[0]!r}") from None
     if n < 1:

@@ -25,7 +25,7 @@ Rational = Fraction
 
 RationalInput = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", re.ASCII)  # \d is 0-9 only
 
 
 def as_rational(value: RationalInput) -> Rational:
@@ -91,7 +91,7 @@ class Record:
     """Frozen record over the public annotations of its own class body.
 
     It acts as ``@dataclass(frozen=True)`` on a class with no defaults, but
-    generates no code at import; ``__post_init__`` runs where the class has one.
+    generates no code at import; a subclass checks its fields in its own ``__init__``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -99,7 +99,6 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(f for f in cls.__dict__.get("__annotations__", ()) if not f.startswith("_"))
         cls._names = frozenset(cls._fields)
-        cls._post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -110,8 +109,6 @@ class Record:
             if len(args) + len(kwargs) != len(fields) or values.keys() != self._names:
                 raise TypeError(f"{type(self).__qualname__}() takes each of the fields {fields} once")
             self.__dict__.update(values)
-        if self._post_init:
-            self.__post_init__()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])

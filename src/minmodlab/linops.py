@@ -74,7 +74,8 @@ class RankOne(Record):
     direction: Vector
     functional: Covector
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if len(self.direction) != len(self.functional):
             raise ValueError(
                 f"dimension mismatch: direction is {len(self.direction)}, "

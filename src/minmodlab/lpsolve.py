@@ -5,7 +5,8 @@ one shape the facet programs have: every variable lies in a finite box,
 every row reads ``coeffs . x <= rhs``, and the corner ``x = lower``
 satisfies every row.  That corner with the row slacks as its basis is a
 feasible start, so there is no phase 1 and no artificial variable, and a
-compact feasible region means the optimum always exists.
+compact feasible region means the optimum always exists.  The simplex
+checks that corner where its slacks seed the basis.
 
 Every tableau entry, bound, optimum, and witness coordinate is a
 ``fractions.Fraction``; the reported value is the objective evaluated at
@@ -24,20 +25,15 @@ from .exactnum import Rational, Record
 _ZERO = Fraction(0)
 
 
-class Constraint(Record):
-    coeffs: tuple[Rational, ...]
-    rhs: Rational
-    corner_slack: Rational  # rhs - coeffs . lower >= 0, the row's slack at the start corner
-
-
 class LinearProgram(Record):
     """Minimize objective . x subject to coeffs . x <= rhs rows and lower <= x <= upper.
 
-    Every bound is finite and the corner x = lower satisfies every row.
+    Each row is a (coeffs, rhs) pair.  Every bound is finite; ``solve``
+    refuses the program when the corner x = lower violates a row.
     """
 
     objective: tuple[Rational, ...]
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[tuple, ...]
     lower: tuple[Rational, ...]
     upper: tuple[Rational, ...]
 
@@ -53,21 +49,15 @@ def linear_program(
 ) -> LinearProgram:
     """The program on ``Fraction`` data; constraints are (coeffs, rhs) pairs meaning coeffs . x <= rhs.
 
-    The data are taken as given, not coerced or re-checked:
+    The data are packed as given, not coerced or checked:
     ``facet_minima`` builds them from a validated operator, all
-    Fractions, one bound pair per variable and rows of full width.  The one
-    check kept is the one the simplex needs: ``ValueError`` when the corner
-    x = lower violates a row.  An empty interval lower > upper passes here
-    and fails ``solve``'s verification.
+    Fractions, one bound pair per variable and rows of full width.  The
+    simplex checks its start: ``solve`` raises ``ValueError`` when the corner
+    x = lower violates a row.  An empty interval lower > upper fails
+    ``solve``'s verification.
     """
-    lower = tuple(lo for lo, _ in bounds)
-    rows = []
-    for i, (coeffs, rhs) in enumerate(constraints, 1):
-        slack = rhs - _dot(coeffs, lower)
-        if slack < 0:
-            raise ValueError(f"row {i} is violated at the start corner x = lower")
-        rows.append(Constraint(tuple(coeffs), rhs, slack))
-    return LinearProgram(tuple(objective), tuple(rows), lower, tuple(up for _, up in bounds))
+    return LinearProgram(tuple(objective), tuple(constraints), tuple(lo for lo, _ in bounds),
+                         tuple(up for _, up in bounds))
 
 
 class LPResult(Record):
@@ -87,21 +77,24 @@ def _corner_simplex(lp: LinearProgram) -> tuple[Rational, ...]:
 
     The tableau is B^{-1} [A | I] over the columns (x_1..x_n, slack_1..slack_m).
     A row's slack rhs - coeffs . x >= 0 has no upper bound; the slacks
-    start basic at their corner values, which ``linear_program`` computed
-    and checked to be >= 0.  The reduced costs start equal to the costs,
-    because every slack costs 0.
+    start basic at their values at the corner, and a negative one, a row
+    the corner violates, raises ``ValueError``.  The reduced costs start
+    equal to the costs, because every slack costs 0.
     """
     n = lp.num_vars
     m = len(lp.constraints)
     lo: list[Rational] = list(lp.lower) + [_ZERO] * m
     up: list[Optional[Rational]] = list(lp.upper) + [None] * m
     at_upper = [False] * (n + m)  # where a nonbasic variable rests
-    T = []
-    for i, con in enumerate(lp.constraints):
+    T, basic_val = [], []
+    for i, (coeffs, rhs) in enumerate(lp.constraints):
+        slack = rhs - _dot(coeffs, lp.lower)
+        if slack < 0:
+            raise ValueError(f"row {i + 1} is violated at the start corner x = lower")
         unit = [_ZERO] * m
         unit[i] = Fraction(1)
-        T.append(list(con.coeffs) + unit)
-    basic_val = [con.corner_slack for con in lp.constraints]
+        T.append(list(coeffs) + unit)
+        basic_val.append(slack)
     basis = list(range(n, n + m))
     in_basis = [False] * n + [True] * m
     d = list(lp.objective) + [_ZERO] * m
@@ -184,8 +177,8 @@ def _verify(lp: LinearProgram, point: tuple[Rational, ...]) -> None:
     for j, x in enumerate(point):
         if x < lp.lower[j] or x > lp.upper[j]:
             raise RuntimeError(f"internal: solution violates bound of variable {j + 1}")
-    for i, con in enumerate(lp.constraints):
-        if _dot(con.coeffs, point) > con.rhs:
+    for i, (coeffs, rhs) in enumerate(lp.constraints):
+        if _dot(coeffs, point) > rhs:
             raise RuntimeError(f"internal: solution violates constraint {i + 1}")
 
 

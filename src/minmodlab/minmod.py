@@ -291,8 +291,8 @@ def facet_minima(T: Dense, *, check_mirror: bool = False) -> tuple[Rational, ...
     objective = [_ZERO] * n + [-_ONE]
     constraints = []
     for row in T.entries:
-        constraints.append((list(row) + [_ONE], _ZERO))  # (Tx)_i <= t
-        constraints.append(([-e for e in row] + [_ONE], _ZERO))  # -(Tx)_i <= t
+        constraints.append((row + (_ONE,), _ZERO))  # (Tx)_i <= t
+        constraints.append((tuple(-e for e in row) + (_ONE,), _ZERO))  # -(Tx)_i <= t
     box = [(-_ONE, _ONE)] * n + [(-op_norm_sup(T), _ZERO)]
     values = []
     for k in range(n):

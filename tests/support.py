@@ -134,8 +134,8 @@ def enumerate_box_lp_optimum(lp: LinearProgram) -> Optional[tuple[Fraction, tupl
     """
     n = lp.num_vars
     conditions: list[tuple[list[Fraction], Fraction]] = []
-    for con in lp.constraints:
-        conditions.append((list(con.coeffs), con.rhs))
+    for coeffs, rhs in lp.constraints:
+        conditions.append((list(coeffs), rhs))
     for j in range(n):
         unit = [Fraction(1 if t == j else 0) for t in range(n)]
         conditions.append((unit, lp.lower[j]))
@@ -145,8 +145,8 @@ def enumerate_box_lp_optimum(lp: LinearProgram) -> Optional[tuple[Fraction, tupl
         for j in range(n):
             if point[j] < lp.lower[j] or point[j] > lp.upper[j]:
                 return False
-        for con in lp.constraints:
-            if sum(c * x for c, x in zip(con.coeffs, point)) > con.rhs:
+        for coeffs, rhs in lp.constraints:
+            if sum(c * x for c, x in zip(coeffs, point)) > rhs:
                 return False
         return True
 

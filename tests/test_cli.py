@@ -137,6 +137,9 @@ def test_diagonal_spec_validation(capsys):
     assert "expected 2" in err
     code, _, err = run_cli(capsys, "minmod", "diagonal:1,oops", "2")
     assert code == EXIT_USAGE
+    code, out, err = run_cli(capsys, "minmod", "diagonal:\u0662,1", "2")  # an Arabic-Indic two
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: bad diagonal entry: not an exact rational literal")
 
 
 def test_zero_denominators_are_rejected_cleanly(tmp_path, capsys):
@@ -335,6 +338,10 @@ def test_malformed_matrix_file(tmp_path, capsys):
              ("two\n1 0\n0 1\n", "first line must be the dimension"),
              ("0\n", "dimension must be >= 1, got 0"), ("-2\n1 0\n0 1\n", "dimension must be >= 1, got -2"),
              ("2\n1 0\n0 1 0\n", "row 2 has 3 entries, expected 2")]
+    # int() alone reads each of these dimension lines as 2: an underscore, Arabic-Indic and fullwidth digits
+    cases += [(f"{dim}\n1 0\n0 1\n", "first line must be the dimension") for dim in ("0_2", "\u0662", "\uff12")]
+    if hasattr(sys, "get_int_max_str_digits"):  # a dimension line past the interpreter's digit limit
+        cases.append((f"{'2' * (sys.get_int_max_str_digits() + 1)}\n", "first line must be the dimension"))
     for text, message in cases:
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "minmod", str(path), "2")

@@ -72,12 +72,52 @@ def test_the_core_has_no_float():
     ]
 
 
+def _unicode_digit_patterns(tree: ast.AST):
+    r"""(line, pattern) for each ``re.*`` call on a pattern literal with \d that does not pass re.ASCII (or re.A)."""
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and _is_re(func.value)):
+            continue
+        pattern = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "pattern"), None)
+        if not (isinstance(pattern, ast.Constant) and isinstance(pattern.value, str) and "\\d" in pattern.value):
+            continue
+        flags = (n.attr for arg in (*node.args[1:], *(k.value for k in node.keywords)) for n in ast.walk(arg)
+                 if isinstance(n, ast.Attribute) and _is_re(n.value))
+        if not {"ASCII", "A"} & set(flags):
+            yield node.lineno, pattern.value
+
+
+def _is_re(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "re"
+
+
+def test_the_core_reads_ascii_digits_only():
+    # without re.ASCII, \d matches every Unicode decimal digit, and int() and Fraction() then read them
+    found = [
+        f"{path.name}:{line}: {pattern!r}"
+        for path in sorted(Path(minmodlab.__file__).parent.glob("*.py"))
+        for line, pattern in _unicode_digit_patterns(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    snippet = "\n".join([
+        r'a = re.compile(r"^\d+$")',
+        r'b = re.compile(r"\d", re.ASCII)',
+        r'c = re.fullmatch(pattern=r"x\d", string=s, flags=re.I | re.A)',
+        r'd = re.match("[0-9]", s) or other.match(r"\d", s)',
+        r'e = re.search(r"\d", s, re.IGNORECASE)',
+        r'f = re.sub(pattern=r"\d", repl="", string=s)',
+    ])
+    assert list(_unicode_digit_patterns(ast.parse(snippet))) == [(1, r"^\d+$"), (5, r"\d"), (6, r"\d")]
+
+
 def test_rational_wire_format():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3"
     assert parse_rational("-3/6") == Fraction(-1, 2)
-    for bad in ("1.5", "3e2", "a/b", "1/2/3", "", "1/0", "-2/00"):
-        with pytest.raises(ValueError):
+    # digits are ASCII only: not an Arabic-Indic two or three, a fullwidth two or a superscript two
+    for bad in ("1.5", "3e2", "a/b", "1/2/3", "", "1/0", "-2/00", "1_000",
+                "\u0662", "\uff12", "\u00b2", "1/\u0663", "\u0662/3"):
+        with pytest.raises(ValueError, match="not an exact rational literal"):
             parse_rational(bad)
 
 
@@ -204,7 +244,7 @@ def _field_values(cls) -> tuple:
 def test_every_record_matches_its_frozen_dataclass_twin():
     classes = _record_classes()
     assert {cls.__name__ for cls in classes} == {
-        "Vector", "Covector", "Dense", "RankOne", "Constraint", "LinearProgram", "LPResult",
+        "Vector", "Covector", "Dense", "RankOne", "LinearProgram", "LPResult",
         "MinModResult", "ConvergenceRow", "ConvergenceReport", "CoordinateStat", "WeakNullVerdict",
         "SearchOutcome", "Report"}
     for cls in classes:
@@ -223,7 +263,7 @@ def test_every_record_matches_its_frozen_dataclass_twin():
                 setattr(obj, cls._fields[0], first[0])
             with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field"):
                 delattr(obj, cls._fields[0])
-        if cls.__init__ is not Record.__init__:  # Vector, Covector and Dense take one iterable
+        if cls in (Vector, Covector, Dense):  # each takes one iterable
             continue
         keywords = dict(zip(cls._fields, first))
         assert cls(**keywords) == cls(first[0], **dict(list(keywords.items())[1:])) == a

@@ -50,9 +50,18 @@ def test_empty_bound_interval_rejected():
 
 
 def test_infeasible_corner_rejected():
-    # the start corner x = lower must satisfy every row
+    # the start corner x = lower must satisfy every row; the simplex checks it where it starts
     with pytest.raises(ValueError, match="row 2"):
-        linear_program([1], [([1], 2), ([1], 0)], [(1, 2)])
+        solve(linear_program([1], [([1], 2), ([1], 0)], [(1, 2)]))
+
+
+def test_facet_corner_that_breaks_a_row_is_refused():
+    # a facet program fixes x_k = 1; with s in [-1/2, 0] its corner (1, -1/2) breaks x + s <= 0
+    lp = program([0, -1], [([1, 1], 0)], [(1, 1), (Fraction(-1, 2), 0)])
+    with pytest.raises(ValueError, match="row 1 is violated at the start corner x = lower"):
+        solve(lp)
+    # the same row holds at the corner once s may reach -1, and the optimum is t = -s = 1
+    assert solve(program([0, -1], [([1, 1], 0)], [(1, 1), (-1, 0)])).value == 1
 
 
 def test_solver_is_deterministic():
