@@ -66,6 +66,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+_INTEGER_RE = re.compile("[+-]?[0-9]+")  # what _integer reads; int() alone also reads 1_2 and non-ASCII digits
 
 
 class UsageError(ValueError):
@@ -74,6 +75,16 @@ class UsageError(ValueError):
 
 class MatrixFormatError(ValueError):
     """A dense matrix file that does not follow the documented format."""
+
+
+def _integer(text: str) -> int:
+    """The integer an optional sign and ASCII digits spell, whitespace stripped: every integer the CLI reads."""
+    if not _INTEGER_RE.fullmatch(text := text.strip()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)  # raises past the interpreter's digit limit, too
+
+
+_integer.__name__ = "int"  # argparse names a refused argument's type by it: "invalid int value: '1_2'"
 
 
 def read_dense_operator(path: str | Path) -> Dense:
@@ -86,9 +97,7 @@ def read_dense_operator(path: str | Path) -> Dense:
     if not lines:
         raise MatrixFormatError(f"{path}: empty matrix file")
     try:
-        if not re.fullmatch("[+-]?[0-9]+", lines[0]):  # int() alone also reads 0_2 and non-ASCII digits
-            raise ValueError
-        n = int(lines[0])  # raises past the interpreter's digit limit, too
+        n = _integer(lines[0])
     except ValueError:
         raise MatrixFormatError(f"{path}: first line must be the dimension, got {lines[0]!r}") from None
     if n < 1:
@@ -362,18 +371,18 @@ _SPEC_HELP = "paper-t | paper-k | identity | diagonal:a,b,... | direct-sum | mat
 # (name, help, handler, arguments); each argument is (name or flag, add_argument keywords)
 _COMMANDS = (
     ("paper-check", "run the fixed exact regression suite", _cmd_paper_check, (
-        ("--n-max", dict(type=int, default=10)),
+        ("--n-max", dict(type=_integer, default=10)),
     )),
     ("minmod", "exact minimum modulus of an operator", _cmd_minmod, (
         ("operator_spec", dict(metavar="spec", help=_SPEC_HELP)),
-        ("n", dict(type=int)),
+        ("n", dict(type=_integer)),
         ("--mirror-check", dict(action="store_true", help="also solve all sign -1 facets and verify symmetry")),
     )),
     ("converge", "per-section minimum moduli vs the closed form", _cmd_converge, (
-        ("n_min", dict(type=int)),
-        ("n_max", dict(type=int)),
+        ("n_min", dict(type=_integer)),
+        ("n_max", dict(type=_integer)),
         ("--lp-budget", dict(
-            type=int,
+            type=_integer,
             default=LP_DIMENSION_BUDGET,
             dest="lp_dimension_budget",
             metavar="LP_BUDGET",
@@ -381,23 +390,23 @@ _COMMANDS = (
     )),
     ("oracle", "certified sampling bracket, independent of the inverse and the facet LPs", _cmd_oracle, (
         ("operator_spec", dict(metavar="spec")),
-        ("n", dict(type=int)),
+        ("n", dict(type=_integer)),
         ("resolution", dict(metavar="h", help="resolution as an exact rational, e.g. 1/200")),
-        ("--point-budget", dict(type=int, default=ORACLE_POINT_BUDGET)),
+        ("--point-budget", dict(type=_integer, default=ORACLE_POINT_BUDGET)),
     )),
     ("perturb", "m(T), m(T+K), gain for the named construction", _cmd_perturb, (
-        ("n", dict(type=int)),
+        ("n", dict(type=_integer)),
     )),
     ("search", "seeded rank-one perturbation search on the named construction", _cmd_search, (
-        ("n", dict(type=int)),
+        ("n", dict(type=_integer)),
         ("--budget", dict(
             default="1",
             dest="search_budget",
             metavar="BUDGET",
             help="norm cap for the perturbation (exact rational)",
         )),
-        ("--iterations", dict(type=int, default=SEARCH_ITERATIONS)),
-        ("--seed", dict(type=int, required=True)),
+        ("--iterations", dict(type=_integer, default=SEARCH_ITERATIONS)),
+        ("--seed", dict(type=_integer, required=True)),
     )),
 )
 

@@ -150,19 +150,11 @@ class _Entries(Record):
     def __iter__(self) -> Iterator[Rational]:
         return iter(getattr(self, self._fields[0]))
 
-    def _index(self, j: int, n: int) -> int:
-        if not 1 <= j <= n:
-            raise IndexError(f"{self._noun} {j} outside 1..{n}")
-        return j - 1
-
     def _entry(self, j: int) -> Rational:
         entries = getattr(self, self._fields[0])
-        return entries[self._index(j, len(entries))]
-
-    def _replace(self, j: int, value: RationalInput):
-        entries = list(getattr(self, self._fields[0]))
-        entries[self._index(j, len(entries))] = as_rational(value)
-        return type(self)(entries)
+        if not 1 <= j <= len(entries):
+            raise IndexError(f"{self._noun} {j} outside 1..{len(entries)}")
+        return entries[j - 1]
 
     def serialize(self) -> list[str]:
         return [format_rational(c) for c in getattr(self, self._fields[0])]
@@ -184,7 +176,6 @@ class Covector(_Entries):
     _noun = "coefficient"
 
     coeff = _Entries._entry  # 1-based coefficient g_j
-    replace_coeff = _Entries._replace
 
     def __call__(self, x: Vector) -> Rational:
         """Exact pairing g(x) = sum_j g_j x_j; lengths must agree."""

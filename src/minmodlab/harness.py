@@ -345,7 +345,7 @@ def rank_one_search(
     rng = random.Random(seed)
     evaluations = 0
     p, q = budget.numerator, budget.denominator
-    memo: dict = {}  # M U by U, G M by G and M's columns, for this call's M alone
+    memo: dict = {}  # the products M U by U and G M by G, for this call's M alone
 
     def normalized(U, e_u, G, e_g) -> tuple:
         peak = max(map(abs, U))  # nonzero: a step of at most 1/2 cannot cancel a peak of 1

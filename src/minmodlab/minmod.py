@@ -205,9 +205,9 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict) -> tupl
     When den = 0, T + U (x) G / e is singular and (a, 0) comes back: a != 0
     is a kernel vector, because (T + u (x) g) Su = u (1 + g Su) = 0.  Each
     dot product in a, den and b = G M is one C loop, sum(map(operator.mul, u, v)).
-    ``memo``, a dict the caller owns for one M and always passes, keeps a by
-    U, b by G and M's columns, so proposals that move one factor at a time
-    compute each product once; nothing in it is ever mutated.
+    ``memo``, a dict the caller owns for one M and always passes, holds only
+    the products, a by U and b by G, so proposals that move one factor at a
+    time compute each once; nothing in it is ever mutated.
     """
     U, G, e = rank_one
     a = memo.get(key := ("a", *U))
@@ -218,9 +218,7 @@ def _rank_one_update(inverse: list, d: int, rank_one: tuple, memo: dict) -> tupl
         return a, 0
     b = memo.get(key := ("b", *G))
     if b is None:
-        if "columns" not in memo:
-            memo["columns"] = list(zip(*inverse))
-        b = memo[key] = [sum(map(operator.mul, G, column)) for column in memo["columns"]]
+        b = memo[key] = [sum(map(operator.mul, G, column)) for column in zip(*inverse)]
     return [[den * m - ai * bj for m, bj in zip(row, b)] for row, ai in zip(inverse, a)], d * den
 
 
@@ -412,11 +410,11 @@ def brute_force_min(
             if not heap:
                 break
             bnd, _, steer, mid, radius, width = heapq.heappop(heap)
-            if bnd >= upper:  # the best point improved since this was queued
-                # nothing to retire: every box holding the centre that set upper has a bound below
-                # upper or is retired, and the heap pops its least bound first, so lower <= upper <= bnd
-                mids = ()
-                continue
+            if bnd >= upper:  # the best point improved since this was queued, and the heap pops its least
+                # bound first, so every box left has a bound of at least upper: the facet is done, and none needs
+                # retiring, as each box holding the centre that set upper has a bound below upper or is retired
+                heap.clear()
+                break
             plan = plans.get((steer, radius))
             if plan is None:  # the split depends on (steer, radius) alone, so each is planned once
                 widest = max(radius)  # a power of two above thin >= 2, since the box did not settle

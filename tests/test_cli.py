@@ -31,6 +31,7 @@ from minmodlab.cli import (
     read_dense_operator,
 )
 from minmodlab.constructions import deflation_operator, deflation_repair
+from minmodlab.exactnum import Covector
 from minmodlab.linops import materialize
 from minmodlab.lpsolve import LPResult
 
@@ -57,7 +58,8 @@ def test_paper_check_fault_injection_fails_loudly(capsys, monkeypatch):
     # bend one coefficient of f, so T and K are built from the bent f; the whole failing report is pinned
     geometric = minmodlab.constructions.geometric_functional
     monkeypatch.setattr(
-        minmodlab.constructions, "geometric_functional", lambda n: geometric(n).replace_coeff(2, Fraction(1, 3))
+        minmodlab.constructions, "geometric_functional",
+        lambda n: Covector((0, Fraction(1, 3)) + geometric(n).coeffs[2:]),
     )
     code, out, err = run_cli(capsys, "paper-check")
     assert code == EXIT_CHECK_FAILED
@@ -590,6 +592,22 @@ def test_argparse_usage_errors(capsys):
     assert run_cli(capsys, "minmod", "paper-t", "two")[0] == EXIT_USAGE
 
 
+def test_integer_arguments_are_ascii_digits(capsys):
+    # int() alone reads each of these as 2, 12, 3 and 1000: an Arabic-Indic two, an underscore, a fullwidth three
+    for argv, name, text in [
+        (("minmod", "paper-t", "\u0662"), "n", "\u0662"),
+        (("converge", "2", "1_2"), "n_max", "1_2"),
+        (("search", "3", "--seed", "\uff13"), "--seed", "\uff13"),
+        (("oracle", "paper-t", "3", "1/8", "--point-budget", "1_000"), "--point-budget", "1_000"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.endswith(f"error: argument {name}: invalid int value: {text!r}\n"), argv
+    for n in ("+3", "03", " 3 "):  # a sign, a leading zero and surrounding whitespace stay allowed
+        code, out, err = run_cli(capsys, "minmod", "paper-t", n)
+        assert (code, err) == (EXIT_OK, "") and "# config.n=3\n" in out
+
+
 def test_help_exits_cleanly(capsys):
     assert run_cli(capsys, "--help")[0] == EXIT_OK
 
@@ -608,6 +626,7 @@ _TOKENS = st.one_of(
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),  # includes p/0
     st.integers(-9, 9).map(str),
     st.sampled_from(["", "-", "1.5", "x", "1/-2", "0x1", str(10**49)]),  # 50 digits, for --approx
+    st.sampled_from(["\u0662", "1_2", "\uff13"]),  # int() reads these: an Arabic-Indic two, 12, a fullwidth three
 )
 _RESOLUTIONS = st.one_of(
     st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 8)),  # parses to h >= 1/8

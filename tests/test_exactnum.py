@@ -110,6 +110,24 @@ def test_the_core_reads_ascii_digits_only():
     assert list(_unicode_digit_patterns(ast.parse(snippet))) == [(1, r"^\d+$"), (5, r"\d"), (6, r"\d")]
 
 
+def _int_types(tree: ast.AST):
+    """The line of each ``type=int`` keyword, which hands an argument to int() and its non-ASCII digits."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "type" and getattr(node.value, "id", None) == "int":
+            yield node.value.lineno
+
+
+def test_cli_integers_read_ascii_digits_only():
+    path = Path(minmodlab.__file__).parent / "cli.py"
+    assert list(_int_types(ast.parse(path.read_text(encoding="utf-8"), str(path)))) == []
+    snippet = "\n".join([
+        'p.add_argument("n", type=int)',
+        'p.add_argument("--seed", type=_integer, default=int("3"))',
+        'options = dict(type=int, default=10)',
+    ])
+    assert list(_int_types(ast.parse(snippet))) == [1, 3]
+
+
 def test_rational_wire_format():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(-3)) == "-3"
@@ -153,20 +171,14 @@ def test_evaluate_rejects_length_mismatch():
 def test_coordinates_are_one_based():
     x = Vector([5, 6, 7])
     assert x.coord(1) == 5 and x.coord(3) == 7
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coordinate 0 outside 1\.\.3$"):
         x.coord(0)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coordinate 4 outside 1\.\.3$"):
         x.coord(4)
     g = Covector(["1/2", "1/3"])
     assert g.coeff(2) == Fraction(1, 3)
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^coefficient 3 outside 1\.\.2$"):
         g.coeff(3)
-
-
-def test_vector_arithmetic_and_replace():
-    g = Covector([1, 2])
-    assert g.replace_coeff(2, "1/7").coeff(2) == Fraction(1, 7)
-    assert g.coeff(2) == 2  # immutable
 
 
 def test_basis_and_embed():

@@ -395,7 +395,7 @@ def test_rank_one_update_matches_a_fresh_inverse():
     su = solve_inverse(t).apply(u)
     k = next(j for j, c in enumerate(su.coords, 1) if c)
     g = Covector(["1/2", "1", "-2", "1/4"])
-    g = g.replace_coeff(k, g.coeff(k) - (1 + g(su)) / su.coord(k))
+    g = Covector(c - (1 + g(su)) / su.coord(k) if j == k else c for j, c in enumerate(g.coeffs, 1))
     assert 1 + g(su) == 0
     perturbed = add(t, RankOne(u, g))
     rank_one = _integer_rank_one(u, g)
