@@ -133,7 +133,7 @@ def build_operator(spec: str, n: int) -> Dense:
     if spec.startswith("diagonal:"):
         body = spec[len("diagonal:") :]
         try:
-            entries = [parse_rational(tok) for tok in body.split(",") if tok != ""]
+            entries = [parse_rational(tok) for tok in body.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad diagonal entry: {exc}") from None
         if len(entries) != n:

@@ -40,7 +40,7 @@ from .exactnum import (
     format_rational,
 )
 from .linops import Dense, RankOne, perturbed
-from .minmod import min_modulus_sup  # not called here: bench/test_bench.py reads harness.min_modulus_sup
+from .minmod import min_modulus_sup
 
 SCHEMA_VERSION = 1
 
@@ -326,9 +326,9 @@ def rank_one_search(
     by cross-multiplying.  A move of one factor leaves the other's product
     with M as it was, so a memo for this call computes MU once per distinct
     U and GM once per distinct G.  The final recomputation reads none of M
-    or the memo: it eliminates T + K's integer rows afresh, built from T's
-    rows and the state by ``perturbed``, certifies the inverse and reads
-    it.  A singular T has no inverse, so then each T + K is scored that way.
+    or the memo: it hands T + K, built from T's rows and the state by
+    ``perturbed``, to ``min_modulus_sup``, the public engine.  A singular T
+    has no inverse, so then each T + K is scored that way.
     """
     budget = as_rational(norm_budget)
     if budget < 0:
@@ -356,17 +356,16 @@ def rank_one_search(
             G, e_g = [c * p for c in G], q * weight
         return (*_lowest(U, e_u), *_lowest(G, e_g))
 
-    def fresh(state) -> tuple[int, int]:
-        """(|d|, R) of T + K, by a certified elimination of its integer rows built from T's."""
+    def fresh(state) -> Fraction:
+        """m(T + K) by ``min_modulus_sup`` of T + K, whose integer rows ``perturbed`` builds from T's."""
         U, e_u, G, e_g = state
-        TK = perturbed(T, (U, G, e_u * e_g))
-        return minmod._read_inverse(*minmod._certified_rows(TK.rows, TK.denominators))[:2]
+        return min_modulus_sup(perturbed(T, (U, G, e_u * e_g))).value
 
     def score(state) -> tuple[int, int]:
         nonlocal evaluations
         evaluations += 1
         if not d:  # T is singular: no inverse to update
-            return fresh(state)
+            return fresh(state).as_integer_ratio()
         U, e_u, G, e_g = state
         update = (U, G, e_u * e_g)
         return minmod._read_inverse(*minmod._rank_one_update(inverse, d, update, memo), base, update)[:2]
@@ -422,7 +421,7 @@ def rank_one_search(
 
     if not beats(best_score, base_score):  # no visited K beat K = 0's score
         best_state, best_score = zero, base_score
-    recomputed = Fraction(*fresh(best_state))
+    recomputed = fresh(best_state)
     if recomputed != Fraction(*best_score):
         raise InvariantViolation("search score disagrees with its recomputation")
     U, e_u, G, e_g = best_state

@@ -308,11 +308,11 @@ def facet_minima(T: Dense, *, check_mirror: bool = False) -> tuple[Rational, ...
 class OracleResult:
     """Certified bracket lower <= m(T) <= upper.
 
-    ``upper`` is sup_norm(T x) at an explicitly evaluated sphere point;
-    ``lower`` comes from exact interval bounds covering the whole sphere.
-    The bracket width is at most lipschitz * covering_radius, with
-    covering_radius = h/2 for the requested resolution h.
-    ``evaluations`` counts bounded boxes (the work unit the budget caps).
+    ``upper`` is sup_norm(T x) at an evaluated sphere point; ``lower`` comes
+    from exact interval bounds on boxes covering the sphere, with every
+    coordinate whose column of T is zero at 0, since it cannot move Tx.  The
+    width is at most lipschitz * covering_radius, covering_radius = h/2 for
+    resolution h.  ``evaluations`` counts bounded boxes (the budget's unit).
     """
 
     upper: Rational
@@ -345,7 +345,8 @@ def brute_force_min(
     thin = floor(h 2^L / 2) >= 2.  The split halves a coordinate at least
     half as wide as the widest, which keeps boxes roughly cubical and
     bounds the depth; among those it prefers the coordinate the steer row
-    weights most, then the largest column of |A|, then the widest.  Radii
+    weights most, then the largest column of |A|.  A coordinate with a zero
+    column cannot move Tx, so it starts at radius 0, as x_k does; the rest
     start at 2^L and are halved, so they are powers of two.  A split box
     is not thin, so its widest radius exceeds thin >= 2 and is at least 4;
     the radius halved is at least half of that, so it is even and its half
@@ -384,8 +385,9 @@ def brute_force_min(
     evaluations = 0
     heap: list[tuple] = []  # (exact bound, tiebreak, steer row, mid, radius, width)
     plans: dict[tuple, tuple] = {}  # (steer, radius) -> (child radius, thin?, A[:, j] half, child width)
+    start = tuple(1 << level if c else 0 for c in column_max)  # a zero column starts thin, like x_k
     for k in range(n):
-        radius = (1 << level,) * k + (0,) + (1 << level,) * (n - k - 1)  # the facet x_{k+1} = +1
+        radius = start[:k] + (0,) + start[k + 1:]  # the facet x_{k+1} = +1
         thin_batch = max(radius) <= thin
         width = [(sum(row) - row[k]) << level for row in abs_rows]
         mids = ([a << level for a in columns[k]],)  # centred at e_{k+1}
@@ -422,10 +424,8 @@ def brute_force_min(
                 for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
                     scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
                     j = scores.index(max(scores))
-                    if weights[j]:
+                    if weights[j]:  # column_max always finds one: only a nonzero column has a radius
                         break
-                else:
-                    j = radius.index(widest)
                 half = radius[j] >> 1
                 child = radius[:j] + (half,) + radius[j + 1:]
                 child_width = [w - a * half for w, a in zip(width, abs_columns[j])]

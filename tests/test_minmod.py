@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import minmodlab.lpsolve
 import minmodlab.minmod
+from minmodlab.cli import main as cli_main
 from minmodlab.constructions import (
     closed_form_min_modulus,
     deflation_factors,
@@ -477,18 +478,22 @@ def test_oracle_budget_is_checked_before_each_box():
 
 
 def test_oracle_brackets_are_frozen():
-    # 40 seeded operators with non-dyadic entries; the sha256 pins every bracket and
-    # box count as the oracle gave them on its own integer matrix, an oracle that
-    # matched the Fraction box bounds box for box
+    # 40 seeded operators with non-dyadic entries; the first sha256 pins the brackets
+    # alone, which a change to how boxes are split may not move; the second pins the
+    # box counts too, with draws 4 and 11, which have a zero column, at 46 and 15
     rng = random.Random(2026)
     brackets = []
     for _ in range(40):
         op = random_structured_operator(rng, rng.randint(2, 4))
         result = brute_force_min(op, Fraction(1, 32))
         brackets.append((result.lower, result.upper, result.evaluations))
-    assert sum(evaluations for _, _, evaluations in brackets) == 6939
+    bounds = [(lower, upper) for lower, upper, _ in brackets]
+    digest = hashlib.sha256(repr(bounds).encode("utf-8")).hexdigest()
+    assert digest == "5bb0206ee9b3de27d97f9891bbedfcc2a6377991e5d2e66c460e1e3d35d39485"
+    assert (brackets[4][2], brackets[11][2]) == (46, 15)
+    assert sum(evaluations for _, _, evaluations in brackets) == 6281
     digest = hashlib.sha256(repr(brackets).encode("utf-8")).hexdigest()
-    assert digest == "db7d6abc5621f6bd85a0c24ee7e3a585c2046a3a1ad182b10d76f56de6390501"
+    assert digest == "2d792d1327e65fa91d33a470514beaadac643f50c436f1e2f0909b68ac331c07"
 
 
 def test_oracle_brackets_are_frozen_across_resolutions():
@@ -521,18 +526,38 @@ def test_oracle_brackets_the_benchmark_deflations_at_h_1_64():
         assert (result.lower, result.upper, result.evaluations) == bracket
 
 
-def test_oracle_split_falls_back_to_the_widest_radius_on_zero_columns():
-    # when every radius wide enough to split sits on a zero column of A, neither weight
-    # picks a coordinate and the widest radius is halved: 31 of the 63 splits of the
-    # first operator; on the second, halving the first of the zero columns wide enough
-    # instead of the widest would take 42 boxes
+def test_oracle_never_splits_a_zero_column(tmp_path, capsys):
+    # a coordinate whose column of A is zero cannot move Tx, so it starts at radius 0
+    # and is never split; a split of it would make two equal boxes, and the 5 x 5 file
+    # below would then exceed the default budget of 500,000
     cases = [
-        (((1, 0, 2), (3, 0, -1), (0, 0, 1)), 129),
-        (((-3, -2, 0, 0), (-1, -3, 0, 0), (-2, 2, 0, 0), (-2, -3, 0, 0)), 26),
+        (((1, 0, 2), (3, 0, -1), (0, 0, 1)), Fraction(1, 16), 13),
+        (((-3, -2, 0, 0), (-1, -3, 0, 0), (-2, 2, 0, 0), (-2, -3, 0, 0)), Fraction(1, 16), 14),
+        (((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), Fraction(1, 16), 24),
+        (((2, 1, 0, 0), (1, 2, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0)), Fraction(1, 64), 32),
     ]
-    for rows, evaluations in cases:
-        result = brute_force_min(Dense(rows), Fraction(1, 16))
+    for rows, h, evaluations in cases:
+        result = brute_force_min(Dense(rows), h)
         assert (result.lower, result.upper, result.evaluations) == (0, 0, evaluations)
+    path = tmp_path / "zero-columns.mat"
+    path.write_text("5\n2 1 0 0 0\n1 2 0 0 0\n0 1 0 0 0\n1 0 0 0 0\n0 0 0 0 0\n", encoding="utf-8")
+    assert cli_main(["oracle", str(path), "5", "1/64"]) == 0
+    out = capsys.readouterr().out
+    assert "# upper=0\n# lower=0\n" in out and "# evaluations=33\n" in out
+
+
+def test_oracle_spends_one_box_on_an_appended_zero_column():
+    # T' = [[T, 0], [T_1, 0]] repeats T's facets box for box, as the copy of row 1 only
+    # ties it as steer row and the zero column never splits; its own facet x_{N+1} = 1
+    # has centre T' e_{N+1} = 0, which sets upper = 0 and retires its start box
+    rng = random.Random(37)
+    for _ in range(60):
+        op = random_structured_operator(rng, rng.randint(1, 4))
+        h = rng.choice([Fraction(1, 8), Fraction(1, 16), Fraction(3, 7)])
+        rows = [row + (0,) for row in op.entries]
+        widened = Dense(rows + [rows[0]])
+        result = brute_force_min(widened, h)
+        assert (result.lower, result.upper, result.evaluations) == (0, 0, brute_force_min(op, h).evaluations + 1)
 
 
 def test_oracle_split_plans_live_for_one_call():
