@@ -27,19 +27,18 @@ programs differ only in x_k's bounds, so the rows are built once.
 
 ``brute_force_min`` is the independent check: a certified branch-and-bound
 over the same facets that touches neither the inverse nor the LP.  It
-bounds each box through exact interval arithmetic on the rows of T and
-refines until boxes are thinner than the requested resolution h,
-returning a bracket lower <= m(T) <= upper with upper an evaluated sphere
-point and upper - lower <= lipschitz * h/2.  The arithmetic is on
-integers: A = D T, T's rows as the inverse reads them, each rescaled to D,
-the least common multiple of the row denominators (one D for all rows,
-because the bound is a maximum across rows), and
-lipschitz = max_i sum_j |A_ij| / D.  Boxes live on one dyadic grid, with
-centres and radii over 2^L for the smallest L with h 2^L >= 4, so each
-row's centre value and half-width are integers over the one denominator
-D 2^L and bounds compare as plain integers, the heap's order included.
-Each box carries its half-widths; the split is a function of the radii and
-the steer row, so one call plans each split once and a box costs O(N).
+bounds every facet's start box, then refines best-first across all facets
+from one heap, by exact interval arithmetic on the rows of T, until boxes
+are thinner than the requested resolution h.  It returns a bracket
+lower <= m(T) <= upper, upper an evaluated sphere point, with
+upper - lower <= lipschitz * h/2.  The arithmetic is on integers: A = D T,
+T's rows as the inverse reads them, each rescaled to D, the least common
+multiple of the row denominators, and lipschitz = max_i sum_j |A_ij| / D.
+Boxes live on one dyadic grid, with centres and radii over 2^L for the
+smallest L with h 2^L >= 4, so each row's centre value and half-width are
+integers over the one denominator D 2^L and bounds compare as plain
+integers, the heap's order included.  The split is a function of a box's
+radii and steer row, so one call plans each once and a box costs O(N).
 """
 
 from __future__ import annotations
@@ -328,12 +327,12 @@ def brute_force_min(
 ) -> OracleResult:
     """Certified sampling bracket for m(T), independent of the inverse and the facet LPs.
 
-    Explores each facet {x_k = 1} by box bisection: exact interval bounds
-    retire regions that provably cannot beat the best evaluated point, and
-    boxes thinner than h stop refining.  Mirror facets are covered by the
-    oddness of T.  Raises :class:`BudgetExceededError` (a distinct failure,
-    never a silent truncation) once more than ``point_budget`` boxes have
-    been bounded.
+    Explores the facets {x_k = 1} by box bisection, best-first across all
+    of them: exact interval bounds retire regions that provably cannot beat
+    the best evaluated point, and boxes thinner than h stop refining.
+    Mirror facets are covered by the oddness of T.  Raises
+    :class:`BudgetExceededError` (a distinct failure, never a silent
+    truncation) once more than ``point_budget`` boxes have been bounded.
 
     Every box lies on the grid 2^-L, for the smallest L >= 0 with
     h 2^L >= 4.  A box has radii r_j / 2^L and carries, for each row i, the
@@ -352,14 +351,16 @@ def brute_force_min(
     the radius halved is at least half of that, so it is even and its half
     is an integer.  That is why L is chosen with h 2^L >= 4.
 
-    Each step bounds a batch of boxes with one radius and width, a facet's
-    start box or the two halves of a split; each box either settles at
-    once or joins one heap of open boxes, ordered by its exact integer
-    bound, with its width.  The width is w_i = sum_j |A_ij| r_j, and the
-    split depends on (steer row, radius) alone, so one call plans it, the
-    child width included, once per pair.  The Lipschitz constant is read off
-    the same integers, peak / D with peak = max_i sum_j |A_ij|; no box value
-    exceeds peak 2^L, so upper and lower start one above it.
+    The first step bounds every facet's start box, each later one the two
+    halves of a split; a box settles at once or joins the one heap of every
+    facet's open boxes, by its exact integer bound, until the heap empties
+    or its least bound reaches upper.  The order cannot move the bracket:
+    the split tree is fixed and no child's bound is below its parent's, so
+    a box bounded below the final upper is split in any order, and one at
+    or above it holds no centre below it.  The width w_i = sum_j |A_ij| r_j
+    and the split depend on (steer row, radius) alone, so one call plans
+    each split once.  No box value exceeds peak 2^L, peak = D lipschitz, so
+    upper and lower start one above it.
     """
     step = as_rational(h)
     if step <= 0:
@@ -383,16 +384,16 @@ def brute_force_min(
 
     upper = lower = (peak << level) + 1  # above every box value, |A_i x| 2^L <= peak 2^L
     evaluations = 0
-    heap: list[tuple] = []  # (exact bound, tiebreak, steer row, mid, radius, width)
+    heap: list[tuple] = []  # (exact bound, tiebreak, steer row, mid, radius, width), over every facet
     plans: dict[tuple, tuple] = {}  # (steer, radius) -> (child radius, thin?, A[:, j] half, child width)
     start = tuple(1 << level if c else 0 for c in column_max)  # a zero column starts thin, like x_k
+    batches = []  # (radius, thin?, width, mids), none mutated; first the start box of each facet x_{k+1} = +1
     for k in range(n):
-        radius = start[:k] + (0,) + start[k + 1:]  # the facet x_{k+1} = +1
-        thin_batch = max(radius) <= thin
+        radius = start[:k] + (0,) + start[k + 1:]
         width = [(sum(row) - row[k]) << level for row in abs_rows]
-        mids = ([a << level for a in columns[k]],)  # centred at e_{k+1}
-        while True:
-            # a batch's boxes share radius and width, which are never mutated
+        batches.append((radius, max(radius) <= thin, width, ([a << level for a in columns[k]],)))
+    while True:
+        for radius, thin_batch, width, mids in batches:
             for mid in mids:
                 evaluations += 1
                 if evaluations > point_budget:
@@ -409,29 +410,28 @@ def brute_force_min(
                         lower = bnd
                 else:  # evaluations counts up, so it breaks ties in the order boxes were queued
                     heapq.heappush(heap, (bnd, evaluations, clearance.index(steer_clearance), mid, radius, width))
-            if not heap:
-                break
-            bnd, _, steer, mid, radius, width = heapq.heappop(heap)
-            if bnd >= upper:  # the best point improved since this was queued, and the heap pops its least
-                # bound first, so every box left has a bound of at least upper: the facet is done, and none needs
-                # retiring, as each box holding the centre that set upper has a bound below upper or is retired
-                heap.clear()
-                break
-            plan = plans.get((steer, radius))
-            if plan is None:  # the split depends on (steer, radius) alone, so each is planned once
-                widest = max(radius)  # a power of two above thin >= 2, since the box did not settle
-                cut = widest >> 1  # a coordinate at least half as wide as the widest may be split
-                for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
-                    scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
-                    j = scores.index(max(scores))
-                    if weights[j]:  # column_max always finds one: only a nonzero column has a radius
-                        break
-                half = radius[j] >> 1
-                child = radius[:j] + (half,) + radius[j + 1:]
-                child_width = [w - a * half for w, a in zip(width, abs_columns[j])]
-                plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], child_width)
-            radius, thin_batch, shift, width = plan
-            mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
+        if not heap:
+            break
+        bnd, _, steer, mid, radius, width = heapq.heappop(heap)
+        if bnd >= upper:  # the heap pops its least bound first, so every box left is bounded at or above upper;
+            # none needs retiring, as each box holding the centre that set upper has a bound below upper or is retired
+            break
+        plan = plans.get((steer, radius))
+        if plan is None:  # the split depends on (steer, radius) alone, so each is planned once
+            widest = max(radius)  # a power of two above thin >= 2, since the box did not settle
+            cut = widest >> 1  # a coordinate at least half as wide as the widest may be split
+            for weights in (abs_rows[steer], column_max):  # the first of largest weight * radius
+                scores = [w * r if r >= cut else -1 for w, r in zip(weights, radius)]
+                j = scores.index(max(scores))
+                if weights[j]:  # column_max always finds one: only a nonzero column has a radius
+                    break
+            half = radius[j] >> 1
+            child = radius[:j] + (half,) + radius[j + 1:]
+            child_width = [w - a * half for w, a in zip(width, abs_columns[j])]
+            plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], child_width)
+        radius, thin_batch, shift, width = plan
+        mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
+        batches = ((radius, thin_batch, width, mids),)
 
     # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper
     return OracleResult(
