@@ -7,8 +7,9 @@ Three experiments over the exact core:
   the shape every exact minimizer is forced into (first coordinate
   pinned at modulus 1, tail strictly inside (1/2, 1));
 * ``weak_null_test`` — coordinatewise verdict on a finite vector family:
-  an exact not-weakly-null certificate when one exists, a conservative
-  weakly-null heuristic otherwise;
+  an exact not-weakly-null certificate, a coordinate held at modulus
+  >= beta > 0 throughout, when one exists, a conservative weakly-null
+  heuristic otherwise;
 * ``rank_one_search`` — seeded deterministic coordinate ascent for a
   norm-capped rank-one perturbation that lifts the minimum modulus.
 
@@ -151,103 +152,46 @@ class WeakNullStatus(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-class CoordinateStat(Record):
-    coordinate: int
-    min_modulus: Rational
-    max_modulus: Rational
-    last_modulus: Rational
-
-
 class WeakNullVerdict(Record):
     status: WeakNullStatus
     coordinate: Optional[int]  # certificate coordinate for not-weakly-null
     bound: Optional[Rational]  # beta with |x_n(coordinate)| >= beta > 0
-    threshold: Rational
-    family_size: int
-    ambient_dim: int
-    stats: tuple[CoordinateStat, ...]
-
-    def to_report(self) -> "Report":
-        header = [
-            ("status", self.status.value),
-            ("coordinate", "" if self.coordinate is None else str(self.coordinate)),
-            ("bound", "" if self.bound is None else format_rational(self.bound)),
-            ("threshold", format_rational(self.threshold)),
-            ("family_size", str(self.family_size)),
-            ("ambient_dim", str(self.ambient_dim)),
-        ]
-        return Report(
-            kind="weak-null",
-            header=tuple(header),
-            columns=("coordinate", "min_modulus", "max_modulus", "last_modulus"),
-            rows=tuple(
-                (s.coordinate, s.min_modulus, s.max_modulus, s.last_modulus)
-                for s in self.stats
-            ),
-        )
 
 
-def weak_null_test(
-    family: Sequence[Vector], *, threshold: RationalInput = 0
-) -> WeakNullVerdict:
+def weak_null_test(family: Sequence[Vector]) -> WeakNullVerdict:
     """Coordinatewise weak-null verdict for a finite family.
 
-    Exact certificate first: if some coordinate j keeps modulus >= beta
-    with beta > threshold across the whole family, the family is
-    NOT_WEAKLY_NULL with (j, beta) exhibited (largest beta; ties to the
-    lowest j).  Otherwise a conservative heuristic: the family counts as
-    WEAKLY_NULL when every coordinate is transient — its above-threshold
-    appearances are empty, a single spike, or stop before the family does.
-    Anything else is INCONCLUSIVE.  On a finite window a genuinely
-    weakly-null (coordinatewise vanishing) tail looks exactly transient,
-    while a persistent coordinate can never be explained away.
+    Exact certificate first: if some coordinate j keeps modulus >= beta > 0
+    across the whole family, the family is NOT_WEAKLY_NULL with (j, beta)
+    exhibited (largest beta; ties to the lowest j).  Otherwise a
+    conservative heuristic: the family counts as WEAKLY_NULL when every
+    coordinate is transient — its nonzero appearances are empty, a single
+    spike, or stop before the family does.  Anything else is INCONCLUSIVE.
+    On a finite window a genuinely weakly-null (coordinatewise vanishing)
+    tail looks exactly transient, while a persistent coordinate can never
+    be explained away.
     """
     if not family:
         raise ValueError("the family must be nonempty")
-    thr = as_rational(threshold)
-    if thr < 0:
-        raise ValueError("threshold must be nonnegative")
-    ambient = max(len(x) for x in family)
     size = len(family)
-
-    stats = []
     best: Optional[tuple[Rational, int]] = None
     all_transient = True
-    for j in range(1, ambient + 1):
+    for j in range(1, max(len(x) for x in family) + 1):
         moduli = [abs(x.coord(j)) if j <= len(x) else _ZERO for x in family]
         lo = min(moduli)
-        stats.append(CoordinateStat(j, lo, max(moduli), moduli[-1]))
-        if lo > thr:
+        if lo > 0:
             if best is None or lo > best[0]:
                 best = (lo, j)
             all_transient = False
             continue
-        loud = [i for i, m in enumerate(moduli) if m > thr]
-        transient = len(loud) <= 1 or loud[-1] < size - 1
-        if not transient:
+        loud = [i for i, m in enumerate(moduli) if m > 0]
+        if len(loud) > 1 and loud[-1] == size - 1:
             all_transient = False
 
     if best is not None:
-        status = WeakNullStatus.NOT_WEAKLY_NULL
-        coordinate: Optional[int] = best[1]
-        bound: Optional[Rational] = best[0]
-    elif all_transient:
-        status = WeakNullStatus.WEAKLY_NULL
-        coordinate = None
-        bound = None
-    else:
-        status = WeakNullStatus.INCONCLUSIVE
-        coordinate = None
-        bound = None
-    return WeakNullVerdict(
-        status=status,
-        coordinate=coordinate,
-        bound=bound,
-        threshold=thr,
-        family_size=size,
-        ambient_dim=ambient,
-        stats=tuple(stats),
-    )
+        return WeakNullVerdict(WeakNullStatus.NOT_WEAKLY_NULL, best[1], best[0])
+    status = WeakNullStatus.WEAKLY_NULL if all_transient else WeakNullStatus.INCONCLUSIVE
+    return WeakNullVerdict(status, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ a kernel vector as witness.  One fraction-free elimination, in place on N
 columns, gives S = M/d in integers; A M = d diag(D), summed in C over A's
 nonzeros and, on a row with one nonzero, checked by one product and a count
 of zeros, proves the lower bound and the re-verified witness the upper one.
-The inverse, the search and the oracle read T's integer rows
-A_i = D_i T_i, the two fields of ``Dense``, as they are; the facet LPs read
-``T.entries``.  ``_rank_one_update`` turns M/d into
-(T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T once, and
-reuses MU and GM across proposals that share a factor.
+The inverse and the search read T's integer rows A_i = D_i T_i, the two
+fields of ``Dense``, as they are, the oracle rescales them to one common
+D, and the facet LPs read ``T.entries``.  ``_rank_one_update`` turns M/d
+into (T + u (x) g)^-1 in O(N^2) integer steps, so the search inverts T
+once, and reuses MU and GM across proposals that share a factor.
 ``_rank_one_sections`` reads every leading section of I + U (x) G / e off
 its 1 x 1 capacitance c = e + G U, since (c I - U (x) G) / c is the
 section's inverse: O(N) integer steps a section, and no elimination.
@@ -316,7 +316,6 @@ class OracleResult:
 
     upper: Rational
     lower: Rational
-    resolution: Rational
     lipschitz: Rational
     covering_radius: Rational
     evaluations: int
@@ -387,29 +386,28 @@ def brute_force_min(
     heap: list[tuple] = []  # (exact bound, tiebreak, steer row, mid, radius, width), over every facet
     plans: dict[tuple, tuple] = {}  # (steer, radius) -> (child radius, thin?, A[:, j] half, child width)
     start = tuple(1 << level if c else 0 for c in column_max)  # a zero column starts thin, like x_k
-    batches = []  # (radius, thin?, width, mids), none mutated; first the start box of each facet x_{k+1} = +1
+    boxes = []  # (radius, thin?, width, mid) to bound, none mutated; first the start box of each facet x_{k+1} = +1
     for k in range(n):
         radius = start[:k] + (0,) + start[k + 1:]
         width = [(sum(row) - row[k]) << level for row in abs_rows]
-        batches.append((radius, max(radius) <= thin, width, ([a << level for a in columns[k]],)))
+        boxes.append((radius, max(radius) <= thin, width, [a << level for a in columns[k]]))
     while True:
-        for radius, thin_batch, width, mids in batches:
-            for mid in mids:
-                evaluations += 1
-                if evaluations > point_budget:
-                    raise BudgetExceededError(f"oracle exceeded its budget of {point_budget} box evaluations")
-                magnitude = list(map(abs, mid))
-                clearance = list(map(operator.sub, magnitude, width))
-                steer_clearance = max(clearance)
-                bnd = steer_clearance if steer_clearance > 0 else 0
-                centre = max(magnitude)  # the centre is an evaluated sphere point
-                if centre < upper:
-                    upper = centre
-                if thin_batch or bnd >= upper:
-                    if bnd < lower:  # the box is retired
-                        lower = bnd
-                else:  # evaluations counts up, so it breaks ties in the order boxes were queued
-                    heapq.heappush(heap, (bnd, evaluations, clearance.index(steer_clearance), mid, radius, width))
+        for radius, thin_box, width, mid in boxes:
+            evaluations += 1
+            if evaluations > point_budget:
+                raise BudgetExceededError(f"oracle exceeded its budget of {point_budget} box evaluations")
+            magnitude = list(map(abs, mid))
+            clearance = list(map(operator.sub, magnitude, width))
+            steer_clearance = max(clearance)
+            bnd = steer_clearance if steer_clearance > 0 else 0
+            centre = max(magnitude)  # the centre is an evaluated sphere point
+            if centre < upper:
+                upper = centre
+            if thin_box or bnd >= upper:
+                if bnd < lower:  # the box is retired
+                    lower = bnd
+            else:  # evaluations counts up, so it breaks ties in the order boxes were queued
+                heapq.heappush(heap, (bnd, evaluations, clearance.index(steer_clearance), mid, radius, width))
         if not heap:
             break
         bnd, _, steer, mid, radius, width = heapq.heappop(heap)
@@ -429,15 +427,14 @@ def brute_force_min(
             child = radius[:j] + (half,) + radius[j + 1:]
             child_width = [w - a * half for w, a in zip(width, abs_columns[j])]
             plan = plans[steer, radius] = (child, max(child) <= thin, [a * half for a in columns[j]], child_width)
-        radius, thin_batch, shift, width = plan
-        mids = (list(map(operator.add, mid, shift)), list(map(operator.sub, mid, shift)))
-        batches = ((radius, thin_batch, width, mids),)
+        radius, thin_box, shift, width = plan
+        boxes = ((radius, thin_box, width, list(map(operator.add, mid, shift))),
+                 (radius, thin_box, width, list(map(operator.sub, mid, shift))))
 
     # every sphere point lies in a settled box whose bound is at most its value, so lower <= m(T) <= upper
     return OracleResult(
         upper=Fraction(upper, den),
         lower=Fraction(lower, den),
-        resolution=step,
         lipschitz=lipschitz,
         covering_radius=step / 2,
         evaluations=evaluations,

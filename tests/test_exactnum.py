@@ -257,7 +257,7 @@ def test_every_record_matches_its_frozen_dataclass_twin():
     classes = _record_classes()
     assert {cls.__name__ for cls in classes} == {
         "Vector", "Covector", "Dense", "RankOne", "LinearProgram", "LPResult",
-        "MinModResult", "ConvergenceRow", "ConvergenceReport", "CoordinateStat", "WeakNullVerdict",
+        "MinModResult", "ConvergenceRow", "ConvergenceReport", "WeakNullVerdict",
         "SearchOutcome", "Report"}
     for cls in classes:
         twin = dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
