@@ -226,7 +226,7 @@ def run_paper_check(n_max: int) -> tuple[Report, bool]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report source, exit code, stderr note or None).
+# subcommand handlers: each returns (report, exit code, stderr note or None).
 # A handler that parses a rational argument stores the parsed value back in args, so the
 # header echoes its canonical form (h = 2/32 is echoed as 1/16).
 
@@ -265,10 +265,23 @@ def _cmd_minmod(args):
 def _cmd_converge(args):
     budget = args.lp_dimension_budget
     study = convergence_study(args.n_min, args.n_max, lp_dimension_budget=budget)
+    header = (
+        ("n_min", str(args.n_min)),
+        ("n_max", str(args.n_max)),
+        ("partial", "true" if study.partial else "false"),
+    )
+    report = Report(
+        kind="convergence",
+        header=header,
+        columns=("N", "m_N", "closed_form", "witness_min_tail", "witness_max_tail", "gap"),
+        rows=tuple(
+            (r.n, r.value, r.closed_form, r.witness_min_tail, r.witness_max_tail, r.gap) for r in study.rows
+        ),
+    )
     if not study.partial:
-        return study, EXIT_OK, None
+        return report, EXIT_OK, None
     note = f"converge: stopped at the dimension budget {budget} (requested up to {args.n_max})"
-    return study, EXIT_BUDGET, note
+    return report, EXIT_BUDGET, note
 
 
 def _cmd_oracle(args):
@@ -315,7 +328,25 @@ def _cmd_search(args):
     outcome = rank_one_search(
         deflation_operator(args.n), args.search_budget, seed=args.seed, iterations=args.iterations
     )
-    return outcome, EXIT_OK, None
+    k = outcome.perturbation
+    header = (
+        ("base_value", format_rational(outcome.base_value)),
+        ("perturbed_value", format_rational(outcome.perturbed_value)),
+        ("gain", format_rational(outcome.gain)),
+        ("perturbation_norm", format_rational(outcome.norm)),
+        ("iterations", str(outcome.iterations)),  # the effective count: 0 when the budget is 0
+        ("seed", str(args.seed)),
+        ("evaluations", str(outcome.evaluations)),
+        ("direction", " ".join(k.direction.serialize())),
+        ("functional", " ".join(k.functional.serialize())),
+    )
+    report = Report(
+        kind="rank-one-search",
+        header=header,
+        columns=("coordinate", "direction", "functional"),
+        rows=tuple((j + 1, u, g) for j, (u, g) in enumerate(zip(k.direction.coords, k.functional.coeffs))),
+    )
+    return report, EXIT_OK, None
 
 
 def _parse_rational_arg(text: str, name: str) -> Rational:
@@ -346,7 +377,7 @@ def _run(args) -> int:
     dimension = args.n_max if args.command == "paper-check" else getattr(args, "n", None)
     if dimension is not None and dimension > LP_DIMENSION_BUDGET:
         raise BudgetExceededError(f"dimension {dimension} exceeds the dimension budget {LP_DIMENSION_BUDGET}")
-    source, code, note = args.handler(args)
+    report, code, note = args.handler(args)
     header = [("command", args.command)]
     for key in _ECHOED:
         value = getattr(args, key, None)
@@ -354,7 +385,7 @@ def _run(args) -> int:
             header.append((f"config.{key}", str(value)))
     header.append(("config.format", args.format))
     emit_report(
-        source,
+        report,
         args.format,
         sys.stdout if args.out is None else args.out,
         extra_header=header,

@@ -13,9 +13,11 @@ Three experiments over the exact core:
 * ``rank_one_search`` — seeded deterministic coordinate ascent for a
   norm-capped rank-one perturbation that lifts the minimum modulus.
 
-Reports are byte-identical for identical inputs: no timestamps unless
-asked, rationals in exact ``p/q`` form, approximations only as clearly
-labeled opt-in extra columns.
+Each result holds only what its experiment computed; the CLI lays it out
+as a :class:`Report` next to the parsed arguments, and ``emit_report``
+serializes that byte-identically for identical inputs: no timestamps
+unless asked, rationals in exact ``p/q`` form, approximations only as
+clearly labeled opt-in extra columns.
 """
 
 from __future__ import annotations
@@ -72,25 +74,7 @@ class ConvergenceRow(Record):
 
 class ConvergenceReport(Record):
     rows: tuple[ConvergenceRow, ...]
-    n_min: int
-    n_max: int
     partial: bool
-
-    def to_report(self) -> "Report":
-        header = [
-            ("n_min", str(self.n_min)),
-            ("n_max", str(self.n_max)),
-            ("partial", "true" if self.partial else "false"),
-        ]
-        return Report(
-            kind="convergence",
-            header=tuple(header),
-            columns=("N", "m_N", "closed_form", "witness_min_tail", "witness_max_tail", "gap"),
-            rows=tuple(
-                (r.n, r.value, r.closed_form, r.witness_min_tail, r.witness_max_tail, r.gap)
-                for r in self.rows
-            ),
-        )
 
 
 def convergence_study(
@@ -137,9 +121,7 @@ def convergence_study(
             raise InvariantViolation(f"minimizer tail at N={n} escapes (1/2, 1)")
         gap = Fraction(2 * c - norm, 2 * norm)  # m(T) - 1/2 in one step
         rows.append(ConvergenceRow(n, expected, expected, Fraction(tail_min, norm), Fraction(tail_max, norm), gap))
-    return ConvergenceReport(
-        rows=tuple(rows), n_min=n_min, n_max=n_max, partial=limit < n_max
-    )
+    return ConvergenceReport(rows=tuple(rows), partial=limit < n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +189,7 @@ class SearchOutcome(Record):
     perturbed_value: Rational
     gain: Rational
     iterations: int
-    seed: int
     evaluations: int
-
-    def to_report(self) -> "Report":
-        header = [
-            ("base_value", format_rational(self.base_value)),
-            ("perturbed_value", format_rational(self.perturbed_value)),
-            ("gain", format_rational(self.gain)),
-            ("perturbation_norm", format_rational(self.norm)),
-            ("iterations", str(self.iterations)),
-            ("seed", str(self.seed)),
-            ("evaluations", str(self.evaluations)),
-            ("direction", " ".join(self.perturbation.direction.serialize())),
-            ("functional", " ".join(self.perturbation.functional.serialize())),
-        ]
-        rows = tuple(
-            (j + 1, u, g)
-            for j, (u, g) in enumerate(
-                zip(self.perturbation.direction.coords, self.perturbation.functional.coeffs)
-            )
-        )
-        return Report(
-            kind="rank-one-search",
-            header=tuple(header),
-            columns=("coordinate", "direction", "functional"),
-            rows=rows,
-        )
 
 
 def _lowest(V: list, e: int) -> tuple[list, int]:
@@ -377,7 +333,6 @@ def rank_one_search(
         perturbed_value=recomputed,
         gain=recomputed - base_value,
         iterations=iterations,
-        seed=seed,
         evaluations=evaluations,
     )
 
@@ -396,9 +351,6 @@ class Report(Record):
     header: tuple[tuple[str, str], ...]
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
-
-    def to_report(self) -> "Report":
-        return self
 
 
 def _approx12(value: Rational) -> str:
@@ -419,7 +371,7 @@ def _render_cell(cell: Cell) -> Union[str, int]:
 
 
 def emit_report(
-    source,
+    report: Report,
     fmt: str = "csv",
     destination: Union[str, Path, io.TextIOBase, None] = None,
     *,
@@ -427,14 +379,13 @@ def emit_report(
     approx: bool = False,
     timestamp: bool = False,
 ) -> str:
-    """Serialize a report (or anything with ``to_report``) to csv or json.
+    """Serialize a report to csv or json.
 
     Output is byte-identical for identical inputs; a generation timestamp
     appears only when ``timestamp=True``, and decimal approximations only
     when ``approx=True`` (as additional ``*_approx12`` columns).  Returns
     the rendered text; ``destination`` may be a path or open text file.
     """
-    report: Report = source.to_report()
     header = list(extra_header) + list(report.header)
     header.insert(0, ("kind", report.kind))
     if timestamp:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import minmodlab
 import minmodlab.constructions
 import minmodlab.harness
+import minmodlab.lpsolve
 import minmodlab.minmod
 from minmodlab.cli import (
     EXIT_BUDGET,
@@ -238,6 +240,14 @@ def test_internal_errors_exit_1_with_one_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_a_simplex_point_that_violates_a_row_exits_1(monkeypatch, capsys):
+    # the upper corner is inside every bound but outside facet 1's first row
+    monkeypatch.setattr(minmodlab.lpsolve, "_corner_simplex", lambda lp: tuple(lp.upper))
+    assert run_cli(capsys, "minmod", "paper-t", "3") == (
+        EXIT_CHECK_FAILED, "", "error: internal: solution violates constraint 1\n"
+    )
+
+
 # sha256 of stdout: the value-only reports as the facet-LP sweep produced them, which
 # the inverse engine must reproduce byte for byte, and two oracle brackets as the
 # Fraction box bounds produced them, which the integer box bounds must reproduce
@@ -262,6 +272,10 @@ _FROZEN_STDOUT = {
     # a search that goes through a step-underflow restart
     ("search", "2", "--seed", "9", "--iterations", "200", "--budget", "1/2"): (
         "bf93679af3d48557668608fa9a2a17e951bd6906b874f19451acb50916ffd4d3"
+    ),
+    # a zero budget runs no iterations: the report says iterations=0 under config.iterations=200
+    ("search", "3", "--seed", "1", "--budget", "0"): (
+        "b7a1db16d5cdcdf0ff80fab7ca575de55cc84caeb14ee3487ef4bea2a85ef303"
     ),
 }
 
@@ -694,14 +708,26 @@ def test_every_invocation_exits_in_the_contract(tmp_path, capsys, data):
     assert "Traceback" not in err, argv
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(monkeypatch, capsys):
     # the subprocess imports the package under test, not whatever minmodlab the environment provides
     src = Path(minmodlab.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "minmodlab", "minmod", "paper-t", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "minmodlab", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    proc = run("perturb", "3")
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, "perturb", "3")[:2]
     assert proc.returncode == EXIT_OK
-    assert "# value=2/3" in proc.stdout
+    assert run("perturb", "x").returncode == EXIT_USAGE
+
+    # the same __main__ in-process: console_main hands main's code to sys.exit
+    monkeypatch.setattr(sys, "argv", ["minmodlab", "perturb", "x"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("minmodlab", run_name="__main__")
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid int value: 'x'" in capsys.readouterr().err
